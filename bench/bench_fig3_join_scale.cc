@@ -78,7 +78,7 @@ void ValidateModel(double per_row_sec) {
   JoinQuerySpec q = SelectivityQuery(s);
   auto tokens = client.BuildQueryTokens(q, *enc_c, *enc_o);
   SJOIN_CHECK(tokens.ok());
-  auto result = server.ExecuteJoin(*tokens);
+  auto result = server.ExecuteJoin(*tokens, {.prepared_cache_bytes = 0});
   SJOIN_CHECK(result.ok());
   auto expect = PlaintextHashJoin(customers, orders, q);
   SJOIN_CHECK(expect.ok());
@@ -145,7 +145,7 @@ void RunFull() {
       JoinQuerySpec q = SelectivityQuery(s);
       auto tokens = client.BuildQueryTokens(q, *enc_c, *enc_o);
       SJOIN_CHECK(tokens.ok());
-      auto result = server.ExecuteJoin(*tokens);
+      auto result = server.ExecuteJoin(*tokens, {.prepared_cache_bytes = 0});
       SJOIN_CHECK(result.ok());
       double secs =
           result->stats.decrypt_seconds + result->stats.match_seconds;

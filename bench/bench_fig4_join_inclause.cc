@@ -109,7 +109,7 @@ void RunFull() {
       auto tokens =
           client.BuildQueryTokens(SelectivityQuery(s, t), *enc_c, *enc_o);
       SJOIN_CHECK(tokens.ok());
-      auto result = server.ExecuteJoin(*tokens);
+      auto result = server.ExecuteJoin(*tokens, {.prepared_cache_bytes = 0});
       SJOIN_CHECK(result.ok());
       double secs =
           result->stats.decrypt_seconds + result->stats.match_seconds;

@@ -117,11 +117,12 @@ int main() {
               num_queries, n);
   std::printf("hardware concurrency (pool width): %d\n\n", hw);
 
-  // Baseline: one ExecuteJoin per query, single-threaded SJ.Dec.
+  // Baseline: one cold ExecuteJoin per query, single-threaded SJ.Dec.
+  const ServerExecOptions naive{.num_threads = 1, .prepared_cache_bytes = 0};
   double naive_s = benchutil::TimePerCall(
       [&] {
         for (const JoinQueryTokens& q : series.queries) {
-          SJOIN_CHECK(server.ExecuteJoin(q, {.num_threads = 1}).ok());
+          SJOIN_CHECK(server.ExecuteJoin(q, naive).ok());
         }
       },
       1, 0.2);

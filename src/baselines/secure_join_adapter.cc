@@ -23,7 +23,7 @@ Result<std::vector<JoinedRowPair>> SecureJoinAdapter::RunQuery(
   SJOIN_RETURN_IF_ERROR(enc_b.status());
   auto tokens = client_.BuildQueryTokens(q, **enc_a, **enc_b);
   SJOIN_RETURN_IF_ERROR(tokens.status());
-  auto result = server_.ExecuteJoin(*tokens);
+  auto result = server_.ExecuteJoin(*tokens, {.prepared_cache_bytes = 0});
   SJOIN_RETURN_IF_ERROR(result.status());
   return result->matched_row_indices;
 }

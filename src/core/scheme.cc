@@ -126,14 +126,13 @@ Digest32 DigestOfGt(const GT& g) {
   return Sha256::Hash(bytes.data(), bytes.size());
 }
 
-// Shared chunking core of the two batch kernels: `miller(i)` produces row
-// i's Miller-loop accumulator; each chunk then runs one amortized
-// FinalExponentiationBatch. Chunks (not rows) are the unit of parallelism,
-// so the batch width also bounds each task's working set.
-template <typename MillerFn>
-std::vector<Digest32> DecryptBatchedImpl(size_t num_rows, int num_threads,
-                                         size_t batch_rows,
-                                         const MillerFn& miller) {
+// Shared parallel core of the two batch kernels: chunks of `batch_rows`
+// rows are the unit of parallelism, each run through the sequential
+// DigestRowsBatched loop, so the batch width also bounds each task's
+// working set.
+std::vector<Digest32> DecryptBatchedImpl(
+    size_t num_rows, int num_threads, size_t batch_rows,
+    const std::function<Fp12(size_t)>& miller) {
   if (batch_rows == 0) batch_rows = 1;
   std::vector<Digest32> out(num_rows);
   const size_t num_chunks = (num_rows + batch_rows - 1) / batch_rows;
@@ -142,11 +141,10 @@ std::vector<Digest32> DecryptBatchedImpl(size_t num_rows, int num_threads,
   ThreadPool::Shared().ParallelFor(
       num_chunks, num_threads, [&](size_t c) {
         const size_t lo = c * batch_rows;
-        const size_t hi = std::min(lo + batch_rows, num_rows);
-        std::vector<Fp12> ml(hi - lo);
-        for (size_t i = lo; i < hi; ++i) ml[i - lo] = miller(i);
-        std::vector<Digest32> digests = SecureJoin::DigestMillerBatch(ml);
-        std::copy(digests.begin(), digests.end(), out.begin() + lo);
+        const size_t n = std::min(batch_rows, num_rows - lo);
+        SecureJoin::DigestRowsBatched(
+            std::span<Digest32>(out).subspan(lo, n), batch_rows,
+            [&](size_t i) { return miller(lo + i); });
       });
   return out;
 }
@@ -170,6 +168,21 @@ std::vector<Digest32> SecureJoin::DigestMillerBatch(
   out.reserve(exp.size());
   for (const Fp12& e : exp) out.push_back(DigestOfGt(GT(e)));
   return out;
+}
+
+void SecureJoin::DigestRowsBatched(std::span<Digest32> out,
+                                   size_t batch_rows,
+                                   const std::function<Fp12(size_t)>& miller) {
+  batch_rows = std::max<size_t>(batch_rows, 1);
+  std::vector<Fp12> millers;
+  millers.reserve(std::min(batch_rows, out.size()));
+  for (size_t lo = 0; lo < out.size(); lo += batch_rows) {
+    const size_t hi = std::min(lo + batch_rows, out.size());
+    millers.clear();
+    for (size_t i = lo; i < hi; ++i) millers.push_back(miller(i));
+    std::vector<Digest32> digests = DigestMillerBatch(millers);
+    std::copy(digests.begin(), digests.end(), out.begin() + lo);
+  }
 }
 
 std::vector<Digest32> SecureJoin::DecryptRows(

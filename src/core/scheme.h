@@ -17,6 +17,7 @@
 #ifndef SJOIN_CORE_SCHEME_H_
 #define SJOIN_CORE_SCHEME_H_
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -153,8 +154,8 @@ class SecureJoin {
 
   /// Miller-loop half of SJ.Dec for one row (pre-final-exponentiation
   /// accumulator). Building blocks for callers whose rows mix cold and
-  /// prepared paths (the server's cache-aware decrypt loops): collect one
-  /// Fp12 per row from either variant, then DigestMillerBatch.
+  /// prepared paths (db/prepared_cache.h's DecryptRowsCached): produce one
+  /// Fp12 per row from either variant inside DigestRowsBatched.
   static Fp12 DecryptRowMiller(const SjToken& token,
                                const SjRowCiphertext& ct);
   static Fp12 DecryptRowMillerPrepared(const SjToken& token,
@@ -164,6 +165,13 @@ class SecureJoin {
   /// element i equals the DecryptToDigest/DecryptToDigestPrepared output
   /// of the row that produced millers[i], byte for byte.
   static std::vector<Digest32> DigestMillerBatch(std::span<const Fp12> millers);
+
+  /// The sequential chunk loop of every batched SJ.Dec: out[i] becomes the
+  /// digest of miller(i), which runs exactly once per row in index order,
+  /// and each `batch_rows`-row chunk (0 counts as 1) finishes with one
+  /// DigestMillerBatch. Byte-identical to per-row decryption for any width.
+  static void DigestRowsBatched(std::span<Digest32> out, size_t batch_rows,
+                                const std::function<Fp12(size_t)>& miller);
 
   /// SJ.Match (server, query result).
   static bool Match(const GT& da, const GT& db) { return da == db; }

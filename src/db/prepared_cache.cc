@@ -155,4 +155,28 @@ PreparedRowCache::Stats PreparedRowCache::stats() const {
   return s;
 }
 
+std::vector<Digest32> DecryptRowsCached(const SjToken& token,
+                                        const std::string& table,
+                                        std::span<const CachedDecryptRow> rows,
+                                        PreparedRowCache* cache,
+                                        ShardExecStats* stats) {
+  std::vector<Digest32> digests(rows.size());
+  SecureJoin::DigestRowsBatched(
+      digests, SecureJoin::kDefaultDecryptBatchRows, [&](size_t i) {
+        const CachedDecryptRow& row = rows[i];
+        ++stats->decrypts_performed;
+        bool built = false;
+        std::shared_ptr<const SjPreparedRow> prep =
+            cache ? cache->Get(table, row.id, *row.ct, &built) : nullptr;
+        if (!prep) {
+          ++stats->pairings_computed;
+          return SecureJoin::DecryptRowMiller(token, *row.ct);
+        }
+        ++stats->prepared_pairings;
+        ++(built ? stats->prepared_rows_built : stats->prepared_cache_hits);
+        return SecureJoin::DecryptRowMillerPrepared(token, *prep);
+      });
+  return digests;
+}
+
 }  // namespace sjoin

@@ -57,11 +57,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/scheme.h"
+#include "db/encrypted_table.h"
 
 namespace sjoin {
 
@@ -146,6 +148,28 @@ class PreparedRowCache {
   std::atomic<uint64_t> evicted_{0};
   std::atomic<uint64_t> rejected_{0};
 };
+
+/// One row handed to DecryptRowsCached: its stable id (the cache key) and
+/// its SJ ciphertext.
+struct CachedDecryptRow {
+  uint64_t id = 0;
+  const SjRowCiphertext* ct = nullptr;
+};
+
+/// The cache-aware SJ.Dec kernel behind every decrypt path (the server's
+/// series executor, its delegated local fallback, and dist/ShardWorker):
+/// for each row of `table`, the prepared Miller loop when `cache` (may be
+/// null) holds or admits the row, the cold one otherwise; then one batched
+/// final exponentiation per SecureJoin::kDefaultDecryptBatchRows rows.
+/// Sequential -- callers parallelize across calls. Returns the digests
+/// aligned with `rows` (byte-identical to per-row DecryptToDigest) and adds
+/// this call's decrypts_performed, pairings_computed and prepared_* counts
+/// to *stats.
+std::vector<Digest32> DecryptRowsCached(const SjToken& token,
+                                        const std::string& table,
+                                        std::span<const CachedDecryptRow> rows,
+                                        PreparedRowCache* cache,
+                                        ShardExecStats* stats);
 
 }  // namespace sjoin
 

@@ -1,7 +1,7 @@
 #include "db/server.h"
 
 #include <algorithm>
-#include <atomic>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -42,12 +42,75 @@ Digest32 TokenFingerprint(const SjToken& token) {
   return Sha256::Hash(w.bytes());
 }
 
+/// Adds one shard's SJ.Dec counters into a shard or series total (the two
+/// stats structs share these field names).
+template <typename Stats>
+void AddShardStats(Stats* into, const ShardExecStats& s) {
+  into->decrypts_performed += s.decrypts_performed;
+  into->pairings_computed += s.pairings_computed;
+  into->prepared_pairings += s.prepared_pairings;
+  into->prepared_rows_built += s.prepared_rows_built;
+  into->prepared_cache_hits += s.prepared_cache_hits;
+}
+
+/// Rejects a delegate's answer that does not fit its request: one presence
+/// bit per requested row, one digest per set bit, and counters that agree
+/// with the bitmap (the SeriesExecStats identities, per slice) -- the
+/// counters come off the network and are merged into the series totals.
+Status CheckShardResponse(const ShardDecryptRequest& req,
+                          const ShardDecryptResponse& resp) {
+  const size_t present =
+      resp.have.size() - std::count(resp.have.begin(), resp.have.end(), 0);
+  const ShardExecStats& s = resp.stats;
+  std::string problem;
+  if (resp.have.size() != req.rows.size()) {
+    problem = "answers " + std::to_string(resp.have.size()) +
+              " rows, requested " + std::to_string(req.rows.size());
+  } else if (resp.digests.size() != present) {
+    problem = std::string("has ") +
+              (resp.digests.size() < present ? "fewer" : "more") +
+              " digests than its presence bitmap claims";
+  } else if (s.decrypts_performed != present ||
+             s.pairings_computed + s.prepared_pairings != present ||
+             s.prepared_rows_built + s.prepared_cache_hits !=
+                 s.prepared_pairings) {
+    problem = "reports counters that disagree with its presence bitmap";
+  }
+  if (problem.empty()) return Status::OK();
+  return Status::Internal("shard decrypt response for table '" + req.table +
+                          "' " + problem);
+}
+
+/// The one scheduling path behind every Submit*Async: enqueues
+/// `run(request)` under the request's session and hands `done` the result
+/// -- or, inline, the admission error when the scheduler refuses.
+template <typename Request, typename Run, typename Done>
+void Schedule(RequestScheduler& scheduler, RequestScheduler::Kind kind,
+              std::string table, Request request, Run run, Done done) {
+  SessionId session = request.session_id;
+  auto req = std::make_shared<Request>(std::move(request));
+  auto cb = std::make_shared<Done>(std::move(done));
+  Status admitted = scheduler.Enqueue(session, kind, std::move(table),
+                                      [req, run, cb] { (*cb)(run(*req)); });
+  if (!admitted.ok()) (*cb)(admitted);
+}
+
+/// The promise adapter behind the future-returning Submit*: `submit` runs
+/// one Submit*Async with the completion it is given.
+template <typename T, typename Submit>
+std::future<Result<T>> ToFuture(Submit submit) {
+  auto prom = std::make_shared<std::promise<Result<T>>>();
+  std::future<Result<T>> fut = prom->get_future();
+  submit([prom](Result<T> r) { prom->set_value(std::move(r)); });
+  return fut;
+}
+
 }  // namespace
 
-/// Execution state shared by the unsharded and sharded series paths:
-/// resolved per-query plans and the deduplicated (table, token) decrypt
-/// units with their pending rows. Only the SJ.Dec pass (step 3) differs
-/// between the paths; everything before and after is common.
+/// Execution state of one series (RunSeries): resolved per-query plans and
+/// the deduplicated (table, token) decrypt units with their pending rows.
+/// Only the SJ.Dec pass (step 3) depends on the placement and decrypt
+/// sink; everything before and after is common.
 ///
 /// Snapshot consistency: step 0 resolves at most ONE TableStore snapshot
 /// per referenced table name, and every plan/unit points into it -- the
@@ -63,8 +126,21 @@ struct EncryptedServer::SeriesPlanState {
   struct Unit {
     const EncryptedTable* table = nullptr;
     const std::vector<StableRowId>* row_ids = nullptr;
+    uint64_t generation = 0;  ///< of the pinned snapshot
     const SjToken* token = nullptr;
     std::vector<std::optional<Digest32>> digests;
+
+    /// SJ.Dec of the rows at `positions` through the cache-aware kernel.
+    std::vector<Digest32> Decrypt(const std::vector<size_t>& positions,
+                                  PreparedRowCache* cache,
+                                  ShardExecStats* stats) const {
+      std::vector<CachedDecryptRow> rows;
+      rows.reserve(positions.size());
+      for (size_t r : positions) {
+        rows.push_back({(*row_ids)[r], &table->rows[r].sj});
+      }
+      return DecryptRowsCached(*token, table->name, rows, cache, stats);
+    }
   };
   struct QueryPlan {
     const EncryptedTable* a = nullptr;
@@ -90,9 +166,9 @@ struct EncryptedServer::SeriesPlanState {
 };
 
 /// One (decrypt-unit x shard) slice of the batched SJ.Dec pass: the
-/// pending rows of one unit that hash to one shard. The local sharded
-/// path chunks these further for pool granularity; the delegated path
-/// ships each as one worker RPC.
+/// pending rows of one unit that hash to one shard. The local paths chunk
+/// these further for pool granularity; the delegated path ships each as
+/// one worker RPC.
 struct EncryptedServer::ShardWorkUnit {
   SeriesPlanState::Unit* unit = nullptr;
   size_t shard = 0;
@@ -100,14 +176,13 @@ struct EncryptedServer::ShardWorkUnit {
 };
 
 std::vector<EncryptedServer::ShardWorkUnit> EncryptedServer::BuildShardUnits(
-    const SeriesPlanState& state,
-    const std::function<size_t(const EncryptedTable*, size_t)>& shard_of,
-    size_t rows_per_chunk) {
+    const SeriesPlanState& state, const Placement& placement) {
   std::vector<ShardWorkUnit> groups;
   {
     std::map<std::pair<const SeriesPlanState::Unit*, size_t>, size_t> index;
     for (const auto& [unit, row] : state.pending) {
-      size_t shard = shard_of(unit->table, row);
+      size_t shard =
+          placement.shard_of ? placement.shard_of(unit->table, row) : 0;
       auto key = std::make_pair(
           static_cast<const SeriesPlanState::Unit*>(unit), shard);
       auto it = index.find(key);
@@ -118,29 +193,17 @@ std::vector<EncryptedServer::ShardWorkUnit> EncryptedServer::BuildShardUnits(
       groups[it->second].rows.push_back(row);
     }
   }
-  if (rows_per_chunk == 0) return groups;
+  const size_t task = placement.rows_per_task;
+  if (task == 0) return groups;
   std::vector<ShardWorkUnit> work;
-  for (ShardWorkUnit& group : groups) {
-    for (size_t off = 0; off < group.rows.size(); off += rows_per_chunk) {
-      ShardWorkUnit chunk;
-      chunk.unit = group.unit;
-      chunk.shard = group.shard;
-      chunk.rows.assign(
-          group.rows.begin() + off,
-          group.rows.begin() +
-              std::min(off + rows_per_chunk, group.rows.size()));
-      work.push_back(std::move(chunk));
+  for (const ShardWorkUnit& group : groups) {
+    for (size_t off = 0; off < group.rows.size(); off += task) {
+      auto first = group.rows.begin() + off;
+      auto last = first + std::min(task, group.rows.size() - off);
+      work.push_back(ShardWorkUnit{group.unit, group.shard, {first, last}});
     }
   }
   return work;
-}
-
-void EncryptedServer::MergeShardDigests(const ShardWorkUnit& wu,
-                                        const std::vector<Digest32>& digests) {
-  SJOIN_CHECK(digests.size() == wu.rows.size());
-  for (size_t i = 0; i < wu.rows.size(); ++i) {
-    wu.unit->digests[wu.rows[i]] = digests[i];
-  }
 }
 
 Status EncryptedServer::StoreTable(EncryptedTable table) {
@@ -288,38 +351,13 @@ EncryptedJoinResult EncryptedServer::MatchAndAccount(
 
 Result<EncryptedJoinResult> EncryptedServer::ExecuteJoin(
     const JoinQueryTokens& query, const ServerExecOptions& opts) {
-  auto sa = store_.Get(query.table_a);
-  SJOIN_RETURN_IF_ERROR(sa.status());
-  auto sb = store_.Get(query.table_b);
-  SJOIN_RETURN_IF_ERROR(sb.status());
-  const EncryptedTable& a = *sa->table;
-  const EncryptedTable& b = *sb->table;
-
-  // 1. SSE pre-filter (or all rows if disabled).
-  Stopwatch prefilter_watch;
-  std::vector<size_t> sel_a = SelectRows(a, query.sse_a, query.use_sse_prefilter);
-  std::vector<size_t> sel_b = SelectRows(b, query.sse_b, query.use_sse_prefilter);
-  double prefilter_seconds = prefilter_watch.Seconds();
-
-  // 2. SJ.Dec on the selected rows of each table (shared thread pool).
-  Stopwatch decrypt_watch;
-  auto decrypt_selected = [&](const EncryptedTable& t,
-                              const std::vector<size_t>& sel,
-                              const SjToken& token) {
-    std::vector<SjRowCiphertext> cts;
-    cts.reserve(sel.size());
-    for (size_t r : sel) cts.push_back(t.rows[r].sj);
-    return SecureJoin::DecryptRows(token, cts, opts.num_threads);
-  };
-  std::vector<Digest32> da = decrypt_selected(a, sel_a, query.token_a);
-  std::vector<Digest32> db = decrypt_selected(b, sel_b, query.token_b);
-  double decrypt_seconds = decrypt_watch.Seconds();
-
-  // 3-5. SJ.Match, leakage accounting, payload assembly.
-  EncryptedJoinResult out = MatchAndAccount(a, b, *sa->row_ids, *sb->row_ids,
-                                            sel_a, sel_b, da, db, opts);
-  out.stats.prefilter_seconds = prefilter_seconds;
-  out.stats.decrypt_seconds = decrypt_seconds;
+  QuerySeriesTokens series;
+  series.queries.push_back(query);
+  auto r = ExecuteJoinSeries(series, opts);
+  SJOIN_RETURN_IF_ERROR(r.status());
+  EncryptedJoinResult out = std::move(r->results[0]);
+  out.stats.prefilter_seconds = r->stats.prefilter_seconds;
+  out.stats.decrypt_seconds = r->stats.decrypt_seconds;
   return out;
 }
 
@@ -421,6 +459,7 @@ Status EncryptedServer::BuildSeriesPlan(const QuerySeriesTokens& series,
       auto unit = std::make_unique<SeriesPlanState::Unit>();
       unit->table = &t;
       unit->row_ids = side_a ? plan.ids_a : plan.ids_b;
+      unit->generation = state->snapshots.at(t.name).generation;
       unit->token = &token;
       unit->digests.resize(t.rows.size());
       it = state->units.emplace(std::move(key), std::move(unit)).first;
@@ -547,76 +586,98 @@ void EncryptedServer::FinishSeries(SeriesPlanState& state,
   }
 }
 
-Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeries(
-    const QuerySeriesTokens& series, const ServerExecOptions& opts) {
+Result<EncryptedSeriesResult> EncryptedServer::RunSeries(
+    const QuerySeriesTokens& series, const ServerExecOptions& opts,
+    const std::function<Placement(const SeriesPlanState&)>& place,
+    const DecryptSink& decrypt) {
   EncryptedSeriesResult out;
   out.stats.queries = series.queries.size();
   SeriesPlanState state;
   SJOIN_RETURN_IF_ERROR(BuildSeriesPlan(series, opts, &out.stats, &state));
+  const Placement placement = place(state);
 
-  // 3. One batched SJ.Dec pass over every pending (unit, row) of the
-  // series on the shared pool -- the expensive pairings of all queries are
-  // scheduled together instead of query by query. Each decryption first
-  // consults the server's prepared-row cache: a row touched before (by an
-  // earlier query of this series under a different token, or by a previous
-  // series) decrypts via line evaluation alone, and a first-touch row is
-  // prepared so every later token gets the warm path. The cache bounds its
-  // memory (opts.prepared_cache_bytes); rows it cannot admit fall back to
-  // the cold full-pairing path. Cache keys are STABLE row ids, so entries
-  // written by one generation stay valid for every later generation the
-  // row survives into.
+  // 3. One batched SJ.Dec pass: the pending rows of every query, grouped
+  // into (unit x shard) work units of at most rows_per_task rows (tens of
+  // ms of pairings: task overhead is noise, stragglers cannot idle the
+  // pool), run through the sink on the shared pool. The first failing
+  // unit fails the series.
   Stopwatch decrypt_watch;
-  if (opts.prepared_cache_bytes > 0) {
-    prepared_cache_.set_max_bytes(opts.prepared_cache_bytes);
-  }
-  std::atomic<size_t> pairings_cold{0};
-  std::atomic<size_t> prepared_built{0};
-  std::atomic<size_t> prepared_hits{0};
-  // Chunked by opts.decrypt_batch_rows: each chunk's rows run their Miller
-  // loops (cold or prepared, per the cache), then one batched final
-  // exponentiation serves the whole chunk (byte-identical per row; see
-  // FinalExponentiationBatch). Chunks are the unit of pool parallelism.
-  const size_t batch = std::max<size_t>(1, opts.decrypt_batch_rows);
-  const size_t num_chunks = (state.pending.size() + batch - 1) / batch;
+  std::vector<ShardWorkUnit> work = BuildShardUnits(state, placement);
+  std::vector<ShardExecStats> per_shard(std::max<size_t>(placement.shards, 1));
+  std::mutex merge_mu;
+  Status first_error;
   ThreadPool::Shared().ParallelFor(
-      num_chunks, opts.num_threads, [&](size_t c) {
-        const size_t lo = c * batch;
-        const size_t hi = std::min(lo + batch, state.pending.size());
-        std::vector<Fp12> millers;
-        millers.reserve(hi - lo);
-        for (size_t i = lo; i < hi; ++i) {
-          auto [unit, row] = state.pending[i];
-          const SjRowCiphertext& ct = unit->table->rows[row].sj;
-          std::shared_ptr<const SjPreparedRow> prep;
-          bool built = false;
-          if (opts.prepared_cache_bytes > 0) {
-            prep = prepared_cache_.Get(unit->table->name,
-                                       (*unit->row_ids)[row], ct, &built);
-          }
-          if (prep) {
-            millers.push_back(
-                SecureJoin::DecryptRowMillerPrepared(*unit->token, *prep));
-            (built ? prepared_built : prepared_hits).fetch_add(1);
-          } else {
-            millers.push_back(SecureJoin::DecryptRowMiller(*unit->token, ct));
-            pairings_cold.fetch_add(1);
+      work.size(), opts.num_threads, [&](size_t wi) {
+        {
+          std::lock_guard<std::mutex> lock(merge_mu);
+          if (!first_error.ok()) return;  // a sibling unit already failed
+        }
+        const ShardWorkUnit& wu = work[wi];
+        ShardExecStats local;
+        Result<std::vector<Digest32>> digests = decrypt(wu, &local);
+        if (digests.ok()) {
+          // Merge back by original row position -- what makes every
+          // placement byte-identical to unsharded. Work units partition
+          // the pending rows, so sibling merges never overlap.
+          SJOIN_CHECK(digests->size() == wu.rows.size());
+          for (size_t i = 0; i < wu.rows.size(); ++i) {
+            wu.unit->digests[wu.rows[i]] = (*digests)[i];
           }
         }
-        std::vector<Digest32> digests = SecureJoin::DigestMillerBatch(millers);
-        for (size_t i = lo; i < hi; ++i) {
-          auto [unit, row] = state.pending[i];
-          unit->digests[row] = digests[i - lo];
+        std::lock_guard<std::mutex> lock(merge_mu);
+        if (!digests.ok()) {
+          if (first_error.ok()) first_error = digests.status();
+          return;
         }
+        AddShardStats(&per_shard[wu.shard], local);
       });
-  out.stats.pairings_computed = pairings_cold.load();
-  out.stats.prepared_rows_built = prepared_built.load();
-  out.stats.prepared_cache_hits = prepared_hits.load();
-  out.stats.prepared_pairings =
-      out.stats.prepared_rows_built + out.stats.prepared_cache_hits;
-  out.stats.decrypt_seconds = decrypt_watch.Seconds();
+  if (!first_error.ok()) return first_error;
+
+  // The series totals are the per-shard sums; the SeriesExecStats
+  // identities are checked here, where the counters are produced (a
+  // delegate's counters were already checked against its bitmap).
+  SeriesExecStats& s = out.stats;
+  const size_t planned = s.decrypts_performed;
+  s.decrypts_performed = 0;
+  for (const ShardExecStats& shard : per_shard) AddShardStats(&s, shard);
+  SJOIN_CHECK(s.decrypts_performed == planned);
+  SJOIN_CHECK(s.decrypts_requested ==
+              s.decrypts_performed + s.digest_cache_hits);
+  SJOIN_CHECK(s.decrypts_performed ==
+              s.pairings_computed + s.prepared_pairings);
+  SJOIN_CHECK(s.prepared_pairings ==
+              s.prepared_rows_built + s.prepared_cache_hits);
+  if (placement.shards > 0) {
+    s.shards = placement.shards;
+    s.shard_stats = std::move(per_shard);
+  }
+  s.decrypt_seconds = decrypt_watch.Seconds();
 
   FinishSeries(state, opts, &out);
   return out;
+}
+
+PreparedRowCache* EncryptedServer::SharedCache(const ServerExecOptions& opts) {
+  if (opts.prepared_cache_bytes == 0) return nullptr;
+  prepared_cache_.set_max_bytes(opts.prepared_cache_bytes);
+  return &prepared_cache_;
+}
+
+Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeries(
+    const QuerySeriesTokens& series, const ServerExecOptions& opts) {
+  // One implicit shard, reported as unsharded (shards = 0), decrypting
+  // through the shared prepared-row cache: a row touched before -- under
+  // any token, by any series, in any generation it survived into (keys
+  // are STABLE row ids) -- decrypts via line evaluation alone.
+  PreparedRowCache* cache = SharedCache(opts);
+  return RunSeries(
+      series, opts,
+      [](const SeriesPlanState&) {
+        return Placement{0, nullptr, SecureJoin::kDefaultDecryptBatchRows};
+      },
+      [cache](const ShardWorkUnit& wu, ShardExecStats* stats) {
+        return wu.unit->Decrypt(wu.rows, cache, stats);
+      });
 }
 
 std::shared_ptr<const ShardedTable> EncryptedServer::ShardViewFor(
@@ -652,317 +713,121 @@ std::shared_ptr<const ShardedTable> EncryptedServer::ShardViewFor(
 
 Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
     const QuerySeriesTokens& series, const ServerExecOptions& opts) {
-  EncryptedSeriesResult out;
-  out.stats.queries = series.queries.size();
-  SeriesPlanState state;
-  SJOIN_RETURN_IF_ERROR(BuildSeriesPlan(series, opts, &out.stats, &state));
-
-  // Effective shard count: the client's routing request (wire v3) wins
-  // over the server-side option; both are clamped to the largest
-  // referenced table so an empty shard never allocates a cache partition
-  // or schedules a pool task (see ShardedTable::ClampShardCount).
-  size_t requested =
-      series.requested_shards > 0
-          ? series.requested_shards
-          : static_cast<size_t>(std::max(opts.num_shards, 1));
-  size_t max_rows = 0;
-  for (const auto& [key, unit] : state.units) {
-    max_rows = std::max(max_rows, unit->table->rows.size());
-  }
-  // An empty series has no shards at all; otherwise at least one, even if
-  // every referenced table is empty (there is still a merge to report).
-  size_t k = series.queries.empty()
-                 ? 0
-                 : ShardedTable::ClampShardCount(std::max<size_t>(max_rows, 1),
-                                                 requested);
-  out.stats.shards = k;
-  out.stats.shard_stats.assign(k, ShardExecStats{});
-
-  // Partition views for every referenced table, resolved once against the
-  // pinned snapshots (the views are immutable and generation-pinned, so a
-  // concurrent mutation republishing a newer view cannot skew routing
-  // mid-pass).
   std::map<const EncryptedTable*, std::shared_ptr<const ShardedTable>> views;
-  if (k > 0) {
+  std::shared_ptr<ShardCacheSet> caches;
+  auto place = [&](const SeriesPlanState& state) {
+    // Effective K: the client's routing request (wire v3) wins over the
+    // server option; both clamp to the largest referenced table, so no
+    // empty shard gets a cache partition or a pool task (smaller tables
+    // land on the low shard ids). An empty series has no shards; any
+    // other has at least one (there is still a merge to report).
+    size_t requested =
+        series.requested_shards > 0
+            ? series.requested_shards
+            : static_cast<size_t>(std::max(opts.num_shards, 1));
+    size_t max_rows = 1;
+    for (const auto& [key, unit] : state.units) {
+      max_rows = std::max(max_rows, unit->table->rows.size());
+    }
+    size_t k = series.queries.empty()
+                   ? 0
+                   : ShardedTable::ClampShardCount(max_rows, requested);
+
+    // Partition views resolved once against the pinned snapshots: they
+    // are immutable and generation-pinned, so a concurrent mutation
+    // republishing a newer view cannot skew routing mid-pass.
     for (const auto& [name, snap] : state.snapshots) {
       views.emplace(snap.table.get(), ShardViewFor(snap, k));
     }
-  }
 
-  // 3 (sharded). Group the pending decryptions into (shard x unit) work
-  // units: rows of one unit that hash to one shard. Tables smaller than K
-  // are partitioned ClampShardCount(rows, K) ways, so their work lands on
-  // the low shard ids only. Each work unit decrypts through its shard's
-  // own prepared-row cache partition -- two hot shards never contend on
-  // one LRU lock, and a scan evicting one partition cannot cool the
-  // others. Large work units are subdivided into ~8-row chunks (tens of
-  // ms of pairings: coarse enough that task overhead is noise, fine
-  // enough that stragglers cannot idle the pool), so parallelism stays
-  // bounded by pending rows rather than by K x units (a K=1 series over
-  // one big table must still use every thread).
-  Stopwatch decrypt_watch;
-  constexpr size_t kRowsPerTask = 8;
-  std::vector<ShardWorkUnit> work = BuildShardUnits(
-      state,
-      [&](const EncryptedTable* t, size_t row) {
-        return views.at(t)->shard_of(row);
-      },
-      kRowsPerTask);
-
-  // Per-shard cache partitions, each with an even split of the byte
-  // budget. A different K than last time republishes a fresh partition
-  // set (row -> shard placement changed, so the old entries would be
-  // misfiled); a concurrent series still decrypting through the old set
-  // keeps it alive via its own shared_ptr -- superseded partitions are
-  // cold for it, never wrong. The unsharded prepared_cache_ is untouched
-  // either way.
-  const bool use_prepared = opts.prepared_cache_bytes > 0 && !work.empty();
-  std::shared_ptr<ShardCacheSet> caches;
-  if (use_prepared) {
-    size_t per_shard = opts.prepared_cache_bytes / k;
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    if (!shard_caches_ || shard_caches_->size() != k) {
-      auto fresh = std::make_shared<ShardCacheSet>();
-      for (size_t s = 0; s < k; ++s) {
-        fresh->push_back(std::make_unique<PreparedRowCache>(per_shard));
-      }
-      shard_caches_ = std::move(fresh);
-    } else {
-      for (auto& cache : *shard_caches_) cache->set_max_bytes(per_shard);
-    }
-    caches = shard_caches_;
-  }
-
-  std::mutex stats_mu;
-  ThreadPool::Shared().ParallelFor(
-      work.size(), opts.num_threads, [&](size_t wi) {
-        const ShardWorkUnit& wu = work[wi];
-        PreparedRowCache* cache =
-            use_prepared ? (*caches)[wu.shard].get() : nullptr;
-        ShardExecStats local;
-        // One batched final exponentiation per decrypt_batch_rows rows
-        // (work units are already kRowsPerTask-sized, so most units form a
-        // single batch); byte-identical to the per-row path.
-        const size_t batch = std::max<size_t>(1, opts.decrypt_batch_rows);
-        std::vector<Digest32> digests;
-        digests.reserve(wu.rows.size());
-        std::vector<Fp12> millers;
-        millers.reserve(std::min(batch, wu.rows.size()));
-        auto flush = [&] {
-          std::vector<Digest32> d = SecureJoin::DigestMillerBatch(millers);
-          digests.insert(digests.end(), d.begin(), d.end());
-          millers.clear();
-        };
-        for (size_t row : wu.rows) {
-          const SjRowCiphertext& ct = wu.unit->table->rows[row].sj;
-          std::shared_ptr<const SjPreparedRow> prep;
-          bool built = false;
-          if (cache) {
-            prep = cache->Get(wu.unit->table->name,
-                              (*wu.unit->row_ids)[row], ct, &built);
-          }
-          if (prep) {
-            millers.push_back(
-                SecureJoin::DecryptRowMillerPrepared(*wu.unit->token, *prep));
-            ++(built ? local.prepared_rows_built : local.prepared_cache_hits);
-          } else {
-            millers.push_back(
-                SecureJoin::DecryptRowMiller(*wu.unit->token, ct));
-            ++local.pairings_computed;
-          }
-          ++local.decrypts_performed;
-          if (millers.size() >= batch) flush();
+    // Per-shard cache partitions, each with an even split of the budget:
+    // hot shards never contend on one LRU lock, and a scan evicting one
+    // partition cannot cool the others. A different K than last time
+    // republishes a fresh set (placement changed, old entries would be
+    // misfiled); a concurrent series keeps the old set alive through its
+    // shared_ptr -- superseded partitions are cold for it, never wrong.
+    if (opts.prepared_cache_bytes > 0 && !state.pending.empty()) {
+      size_t per_shard = opts.prepared_cache_bytes / k;
+      std::lock_guard<std::mutex> lock(shard_mu_);
+      if (!shard_caches_ || shard_caches_->size() != k) {
+        auto fresh = std::make_shared<ShardCacheSet>();
+        for (size_t s = 0; s < k; ++s) {
+          fresh->push_back(std::make_unique<PreparedRowCache>(per_shard));
         }
-        if (!millers.empty()) flush();
-        MergeShardDigests(wu, digests);
-        local.prepared_pairings =
-            local.prepared_rows_built + local.prepared_cache_hits;
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ShardExecStats& merged = out.stats.shard_stats[wu.shard];
-        merged.decrypts_performed += local.decrypts_performed;
-        merged.pairings_computed += local.pairings_computed;
-        merged.prepared_pairings += local.prepared_pairings;
-        merged.prepared_rows_built += local.prepared_rows_built;
-        merged.prepared_cache_hits += local.prepared_cache_hits;
-      });
-  // Merge the per-shard counters into the series totals the existing wire
-  // fields carry; the invariant "totals == per-shard sums" is asserted by
-  // tests/shard_test.cc.
-  for (const ShardExecStats& s : out.stats.shard_stats) {
-    out.stats.pairings_computed += s.pairings_computed;
-    out.stats.prepared_pairings += s.prepared_pairings;
-    out.stats.prepared_rows_built += s.prepared_rows_built;
-    out.stats.prepared_cache_hits += s.prepared_cache_hits;
-  }
-  out.stats.decrypt_seconds = decrypt_watch.Seconds();
-
-  FinishSeries(state, opts, &out);
-  return out;
+        shard_caches_ = std::move(fresh);
+      } else {
+        for (auto& cache : *shard_caches_) cache->set_max_bytes(per_shard);
+      }
+      caches = shard_caches_;
+    }
+    return Placement{k,
+                     [&views](const EncryptedTable* t, size_t row) {
+                       return views.at(t)->shard_of(row);
+                     },
+                     SecureJoin::kDefaultDecryptBatchRows};
+  };
+  auto decrypt = [&caches](const ShardWorkUnit& wu, ShardExecStats* stats) {
+    PreparedRowCache* cache = caches ? (*caches)[wu.shard].get() : nullptr;
+    return wu.unit->Decrypt(wu.rows, cache, stats);
+  };
+  return RunSeries(series, opts, place, decrypt);
 }
 
 Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
     const QuerySeriesTokens& series, const ServerExecOptions& opts,
     size_t placement_shards, const ShardDecryptFn& decrypt) {
-  EncryptedSeriesResult out;
-  out.stats.queries = series.queries.size();
-  SeriesPlanState state;
-  SJOIN_RETURN_IF_ERROR(BuildSeriesPlan(series, opts, &out.stats, &state));
-
   // Placement width is FIXED cluster-wide: the coordinator partitioned
-  // every table K ways by row digest when it uploaded the shards, so K is
-  // NOT re-clamped per table the way the local sharded path clamps it --
-  // a 3-row table under K = 8 simply leaves five shards empty. Routing
-  // must agree with upload-time placement exactly or requests would land
-  // on workers that do not hold the rows.
-  size_t k = std::min<size_t>(std::max<size_t>(placement_shards, 1),
-                              ShardedTable::kMaxShards);
-  out.stats.shards = series.queries.empty() ? 0 : k;
-  out.stats.shard_stats.assign(out.stats.shards, ShardExecStats{});
-
-  // One RPC per (unit x shard): rows_per_chunk = 0 disables the local
-  // path's ~8-row chunking. Worker round-trip latency dominates task
-  // granularity here, and fewer, bigger requests amortize the framing.
-  Stopwatch decrypt_watch;
-  std::vector<ShardWorkUnit> work = BuildShardUnits(
-      state,
-      [&](const EncryptedTable* t, size_t row) {
-        return ShardedTable::ShardOfDigest(
-            ShardedTable::RowDigest(t->rows[row]), k);
+  // every table K ways by row digest at upload, so K is NOT re-clamped per
+  // table (a 3-row table under K = 8 leaves five shards empty) -- routing
+  // must match upload-time placement exactly. One RPC per (unit x shard)
+  // (rows_per_task = 0): fewer, bigger requests amortize the round trip.
+  const size_t k = std::min<size_t>(std::max<size_t>(placement_shards, 1),
+                                    ShardedTable::kMaxShards);
+  PreparedRowCache* fallback_cache = SharedCache(opts);
+  return RunSeries(
+      series, opts,
+      [&](const SeriesPlanState&) {
+        return Placement{series.queries.empty() ? 0 : k,
+                         [k](const EncryptedTable* t, size_t row) {
+                           return ShardedTable::ShardOfDigest(
+                               ShardedTable::RowDigest(t->rows[row]), k);
+                         },
+                         0};
       },
-      /*rows_per_chunk=*/0);
-
-  std::mutex merge_mu;
-  Status first_error;
-  ThreadPool::Shared().ParallelFor(
-      work.size(), opts.num_threads, [&](size_t wi) {
-        {
-          std::lock_guard<std::mutex> lock(merge_mu);
-          if (!first_error.ok()) return;  // a sibling RPC already failed
-        }
-        const ShardWorkUnit& wu = work[wi];
+      [&](const ShardWorkUnit& wu,
+          ShardExecStats* stats) -> Result<std::vector<Digest32>> {
+        const SeriesPlanState::Unit& unit = *wu.unit;
         ShardDecryptRequest req;
-        req.table = wu.unit->table->name;
-        req.generation = state.snapshots.at(wu.unit->table->name).generation;
+        req.table = unit.table->name;
+        req.generation = unit.generation;
         req.shard = static_cast<uint32_t>(wu.shard);
-        req.token = *wu.unit->token;
+        req.token = *unit.token;
         req.rows.reserve(wu.rows.size());
-        for (size_t row : wu.rows) {
-          req.rows.push_back((*wu.unit->row_ids)[row]);
-        }
-
+        for (size_t row : wu.rows) req.rows.push_back((*unit.row_ids)[row]);
         Result<ShardDecryptResponse> resp = decrypt(req);
-        Status err;
-        ShardExecStats local;
-        std::vector<Digest32> digests;
-        if (!resp.ok()) {
-          err = resp.status();
-        } else if (resp->have.size() != wu.rows.size()) {
-          err = Status::Internal(
-              "shard decrypt response for table '" + req.table + "' answers " +
-              std::to_string(resp->have.size()) + " rows, requested " +
-              std::to_string(wu.rows.size()));
-        } else {
-          local = resp->stats;
-          digests.assign(wu.rows.size(), Digest32{});
-          std::vector<size_t> missing;
-          size_t next = 0;
-          for (size_t i = 0; i < wu.rows.size() && err.ok(); ++i) {
-            if (resp->have[i]) {
-              if (next >= resp->digests.size()) {
-                err = Status::Internal(
-                    "shard decrypt response for table '" + req.table +
-                    "' has fewer digests than its presence bitmap claims");
-                break;
-              }
-              digests[i] = resp->digests[next++];
-            } else {
-              missing.push_back(i);
-            }
-          }
-          if (err.ok() && next != resp->digests.size()) {
-            err = Status::Internal(
-                "shard decrypt response for table '" + req.table +
-                "' has more digests than its presence bitmap claims");
-          }
-          if (err.ok() && !missing.empty()) {
-            // Rows the worker does not hold (a mutation slice it missed
-            // while down, or every replica of the shard unreachable --
-            // the coordinator then answers an all-zero bitmap). The
-            // pinned snapshot still holds them, so decrypt locally
-            // through the same batched Miller + shared-final-exp kernel
-            // as the resident paths, prepared-line cache included --
-            // SJ.Dec sees only (ciphertext, token), so the digests are
-            // identical to what the worker would have answered.
-            PreparedRowCache* cache =
-                opts.prepared_cache_bytes > 0 ? &prepared_cache_ : nullptr;
-            const size_t batch = std::max<size_t>(1, opts.decrypt_batch_rows);
-            std::vector<Fp12> millers;
-            std::vector<size_t> pending_idx;
-            millers.reserve(std::min(batch, missing.size()));
-            pending_idx.reserve(std::min(batch, missing.size()));
-            auto flush = [&] {
-              std::vector<Digest32> d = SecureJoin::DigestMillerBatch(millers);
-              for (size_t j = 0; j < pending_idx.size(); ++j) {
-                digests[pending_idx[j]] = d[j];
-              }
-              millers.clear();
-              pending_idx.clear();
-            };
-            for (size_t i : missing) {
-              const SjRowCiphertext& ct = wu.unit->table->rows[wu.rows[i]].sj;
-              std::shared_ptr<const SjPreparedRow> prep;
-              bool built = false;
-              if (cache) {
-                prep = cache->Get(wu.unit->table->name,
-                                  (*wu.unit->row_ids)[wu.rows[i]], ct, &built);
-              }
-              if (prep) {
-                millers.push_back(SecureJoin::DecryptRowMillerPrepared(
-                    *wu.unit->token, *prep));
-                ++(built ? local.prepared_rows_built
-                         : local.prepared_cache_hits);
-              } else {
-                millers.push_back(
-                    SecureJoin::DecryptRowMiller(*wu.unit->token, ct));
-                ++local.pairings_computed;
-              }
-              ++local.decrypts_performed;
-              pending_idx.push_back(i);
-              if (millers.size() >= batch) flush();
-            }
-            if (!millers.empty()) flush();
-            local.prepared_pairings =
-                local.prepared_rows_built + local.prepared_cache_hits;
-          }
-        }
-        if (err.ok()) {
-          // Work units partition the pending rows, so sibling merges
-          // never overlap; no lock needed for the digest write-back.
-          MergeShardDigests(wu, digests);
-        }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        if (!err.ok()) {
-          if (first_error.ok()) first_error = err;
-          return;
-        }
-        ShardExecStats& merged = out.stats.shard_stats[wu.shard];
-        merged.decrypts_performed += local.decrypts_performed;
-        merged.pairings_computed += local.pairings_computed;
-        merged.prepared_pairings += local.prepared_pairings;
-        merged.prepared_rows_built += local.prepared_rows_built;
-        merged.prepared_cache_hits += local.prepared_cache_hits;
-      });
-  if (!first_error.ok()) return first_error;
-  for (const ShardExecStats& s : out.stats.shard_stats) {
-    out.stats.pairings_computed += s.pairings_computed;
-    out.stats.prepared_pairings += s.prepared_pairings;
-    out.stats.prepared_rows_built += s.prepared_rows_built;
-    out.stats.prepared_cache_hits += s.prepared_cache_hits;
-  }
-  out.stats.decrypt_seconds = decrypt_watch.Seconds();
+        SJOIN_RETURN_IF_ERROR(resp.status());
+        SJOIN_RETURN_IF_ERROR(CheckShardResponse(req, *resp));
+        *stats = resp->stats;
 
-  FinishSeries(state, opts, &out);
-  return out;
+        // Rows the worker does not hold (a mutation slice it missed while
+        // down; an all-zero bitmap when every replica is unreachable)
+        // decrypt from the pinned snapshot through the kernel on the
+        // shared cache: SJ.Dec sees only (ciphertext, token), so the
+        // digests are what the worker would have answered.
+        std::vector<size_t> missing;
+        for (size_t i = 0; i < wu.rows.size(); ++i) {
+          if (!resp->have[i]) missing.push_back(wu.rows[i]);
+        }
+        std::vector<Digest32> local =
+            unit.Decrypt(missing, fallback_cache, stats);
+        std::vector<Digest32> digests;
+        digests.reserve(wu.rows.size());
+        for (size_t i = 0, remote = 0, fallback = 0; i < wu.rows.size(); ++i) {
+          digests.push_back(resp->have[i] ? resp->digests[remote++]
+                                          : local[fallback++]);
+        }
+        return digests;
+      });
 }
 
 size_t EncryptedServer::shard_partition_count() const {
@@ -979,69 +844,55 @@ const PreparedRowCache* EncryptedServer::shard_cache(size_t shard) const {
 void EncryptedServer::SubmitJoinSeriesAsync(
     QuerySeriesTokens series, ServerExecOptions opts,
     std::function<void(Result<EncryptedSeriesResult>)> done) {
-  SessionId session = series.session_id;
-  auto request = std::make_shared<QuerySeriesTokens>(std::move(series));
-  auto cb = std::make_shared<decltype(done)>(std::move(done));
-  Status admitted = scheduler_.Enqueue(
-      session, RequestScheduler::Kind::kRead, "",
-      [this, request, opts, cb] { (*cb)(ExecuteJoinSeries(*request, opts)); });
-  if (!admitted.ok()) (*cb)(admitted);
+  Schedule(
+      scheduler_, RequestScheduler::Kind::kRead, "", std::move(series),
+      [this, opts](const QuerySeriesTokens& s) {
+        return ExecuteJoinSeries(s, opts);
+      },
+      std::move(done));
 }
 
 void EncryptedServer::SubmitJoinSeriesShardedAsync(
     QuerySeriesTokens series, ServerExecOptions opts,
     std::function<void(Result<EncryptedSeriesResult>)> done) {
-  SessionId session = series.session_id;
-  auto request = std::make_shared<QuerySeriesTokens>(std::move(series));
-  auto cb = std::make_shared<decltype(done)>(std::move(done));
-  Status admitted = scheduler_.Enqueue(
-      session, RequestScheduler::Kind::kRead, "", [this, request, opts, cb] {
-        (*cb)(ExecuteJoinSeriesSharded(*request, opts));
-      });
-  if (!admitted.ok()) (*cb)(admitted);
+  Schedule(
+      scheduler_, RequestScheduler::Kind::kRead, "", std::move(series),
+      [this, opts](const QuerySeriesTokens& s) {
+        return ExecuteJoinSeriesSharded(s, opts);
+      },
+      std::move(done));
 }
 
 void EncryptedServer::SubmitMutationAsync(
     TableMutation mutation, std::function<void(Result<MutationResult>)> done) {
-  SessionId session = mutation.session_id;
   std::string table = mutation.table;
-  auto request = std::make_shared<TableMutation>(std::move(mutation));
-  auto cb = std::make_shared<decltype(done)>(std::move(done));
-  Status admitted = scheduler_.Enqueue(
-      session, RequestScheduler::Kind::kMutation, std::move(table),
-      [this, request, cb] { (*cb)(ApplyMutation(*request)); });
-  if (!admitted.ok()) (*cb)(admitted);
+  Schedule(
+      scheduler_, RequestScheduler::Kind::kMutation, std::move(table),
+      std::move(mutation),
+      [this](const TableMutation& m) { return ApplyMutation(m); },
+      std::move(done));
 }
 
 std::future<Result<EncryptedSeriesResult>> EncryptedServer::SubmitJoinSeries(
     QuerySeriesTokens series, ServerExecOptions opts) {
-  auto prom = std::make_shared<std::promise<Result<EncryptedSeriesResult>>>();
-  auto fut = prom->get_future();
-  SubmitJoinSeriesAsync(
-      std::move(series), opts,
-      [prom](Result<EncryptedSeriesResult> r) { prom->set_value(std::move(r)); });
-  return fut;
+  return ToFuture<EncryptedSeriesResult>([&](auto done) {
+    SubmitJoinSeriesAsync(std::move(series), opts, std::move(done));
+  });
 }
 
 std::future<Result<EncryptedSeriesResult>>
 EncryptedServer::SubmitJoinSeriesSharded(QuerySeriesTokens series,
                                          ServerExecOptions opts) {
-  auto prom = std::make_shared<std::promise<Result<EncryptedSeriesResult>>>();
-  auto fut = prom->get_future();
-  SubmitJoinSeriesShardedAsync(
-      std::move(series), opts,
-      [prom](Result<EncryptedSeriesResult> r) { prom->set_value(std::move(r)); });
-  return fut;
+  return ToFuture<EncryptedSeriesResult>([&](auto done) {
+    SubmitJoinSeriesShardedAsync(std::move(series), opts, std::move(done));
+  });
 }
 
 std::future<Result<MutationResult>> EncryptedServer::SubmitMutation(
     TableMutation mutation) {
-  auto prom = std::make_shared<std::promise<Result<MutationResult>>>();
-  auto fut = prom->get_future();
-  SubmitMutationAsync(std::move(mutation), [prom](Result<MutationResult> r) {
-    prom->set_value(std::move(r));
+  return ToFuture<MutationResult>([&](auto done) {
+    SubmitMutationAsync(std::move(mutation), std::move(done));
   });
-  return fut;
 }
 
 }  // namespace sjoin

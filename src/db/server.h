@@ -65,11 +65,6 @@ struct ServerExecOptions {
   /// Cost constants the executor compares backends with; defaults are
   /// calibrated from `bench_sec65_comparison --json` (docs/TUNING.md).
   BackendCostModel cost_model{};
-  /// Rows per batched-final-exponentiation chunk in the SJ.Dec pass (also
-  /// the unit of thread-pool parallelism on the unsharded path). Byte-
-  /// identical for any value; 0 degrades to per-row final exponentiation.
-  /// See docs/TUNING.md.
-  size_t decrypt_batch_rows = SecureJoin::kDefaultDecryptBatchRows;
 };
 
 class EncryptedServer {
@@ -107,7 +102,9 @@ class EncryptedServer {
   Result<const EncryptedTable*> GetTable(const std::string& name) const;
 
   /// Executes one join query: SSE pre-filter, SJ.Dec on the selected rows,
-  /// SJ.Match via hash join on GT digests, payload pairs out.
+  /// SJ.Match via hash join on GT digests, payload pairs out. Runs as a
+  /// one-query ExecuteJoinSeries, so it honours every ServerExecOptions
+  /// field (prepared_cache_bytes = 0 keeps the decryptions cold).
   Result<EncryptedJoinResult> ExecuteJoin(
       const JoinQueryTokens& query, const ServerExecOptions& opts = {});
 
@@ -159,7 +156,8 @@ class EncryptedServer {
   /// delegate's counters per placement shard. A row the delegate reports
   /// missing (ShardDecryptResponse::have) is decrypted locally from the
   /// pinned snapshot -- a worker that already applied a newer mutation
-  /// cannot skew a snapshot-isolated series.
+  /// cannot skew a snapshot-isolated series. A response whose bitmap,
+  /// digest count or counters disagree fails the series with Internal.
   Result<EncryptedSeriesResult> ExecuteJoinSeriesDelegated(
       const QuerySeriesTokens& series, const ServerExecOptions& opts,
       size_t placement_shards, const ShardDecryptFn& decrypt);
@@ -256,8 +254,9 @@ class EncryptedServer {
   /// monitoring: snapshots, generations).
   const TableStore& table_store() const { return store_; }
 
-  /// The per-table prepared-row cache behind ExecuteJoinSeries (exposed
-  /// for tests and benchmarks; see ServerExecOptions::prepared_cache_bytes).
+  /// The per-table prepared-row cache behind ExecuteJoin, ExecuteJoinSeries
+  /// and the delegated path's local fallback (exposed for tests and
+  /// benchmarks; see ServerExecOptions::prepared_cache_bytes).
   /// The eviction / invalidation contract lives at the top of
   /// db/prepared_cache.h and applies to every instance, including the
   /// shard partitions below; the short version: entries are shared_ptr
@@ -283,21 +282,28 @@ class EncryptedServer {
   /// chunked further for pool granularity. Defined in server.cc.
   struct ShardWorkUnit;
 
+  /// Where the series executor sends a plan's pending rows: K placement
+  /// shards (0 = unsharded: one implicit shard, no per-shard report), the
+  /// row position -> shard map (null: shard 0), and the rows per pool task
+  /// (0 = one task per (unit, shard) group, the delegated RPC granularity).
+  struct Placement {
+    size_t shards = 0;
+    std::function<size_t(const EncryptedTable*, size_t)> shard_of;
+    size_t rows_per_task = 0;
+  };
+  /// The decrypt sink of the series executor: one work unit's digests
+  /// (aligned with its rows), adding the SJ.Dec counters of the work to
+  /// *stats. Called concurrently from pool threads; an error fails the
+  /// whole series with it.
+  using DecryptSink = std::function<Result<std::vector<Digest32>>(
+      const ShardWorkUnit&, ShardExecStats*)>;
+
   /// Groups a plan's pending (unit, row) decryptions into ShardWorkUnits
-  /// under `shard_of` (row position -> shard), then subdivides groups
-  /// into `rows_per_chunk`-row chunks (0 = no chunking: one work unit
-  /// per (unit, shard) group, the RPC granularity of the delegated
-  /// path). Chunks stay within one shard, so cache routing and stats
-  /// attribution are independent of chunking.
+  /// under the placement's shard_of, then subdivides groups into
+  /// rows_per_task-row chunks. Chunks stay within one unit and one shard,
+  /// so cache routing and stats attribution are independent of chunking.
   static std::vector<ShardWorkUnit> BuildShardUnits(
-      const SeriesPlanState& state,
-      const std::function<size_t(const EncryptedTable*, size_t)>& shard_of,
-      size_t rows_per_chunk);
-  /// Writes one work unit's computed digests (aligned with its rows)
-  /// back into the owning unit by original row position -- the merge
-  /// step that makes sharded/delegated results identical to unsharded.
-  static void MergeShardDigests(const ShardWorkUnit& wu,
-                                const std::vector<Digest32>& digests);
+      const SeriesPlanState& state, const Placement& placement);
 
   /// One generation of one table's K-way partition view, kept alive
   /// independently of the TableStore (the keepalive pins the generation
@@ -336,7 +342,7 @@ class EncryptedServer {
                                       const std::vector<Digest32>& db,
                                       const ServerExecOptions& opts);
 
-  /// Steps shared by both series paths: snapshot resolution
+  /// Steps shared by every series path: snapshot resolution
   /// (all-or-nothing, one generation per table for the whole batch), SSE
   /// pre-filters, adaptive backend dispatch (queries a fast backend wins
   /// are answered from tag digests and never enter the SJ.Dec plan), and
@@ -345,11 +351,25 @@ class EncryptedServer {
   Status BuildSeriesPlan(const QuerySeriesTokens& series,
                          const ServerExecOptions& opts,
                          SeriesExecStats* stats, SeriesPlanState* state);
-  /// Steps shared by both series paths after the digests exist: per-query
+  /// Steps shared by every series path after the digests exist: per-query
   /// SJ.Match + leakage + payloads, then the cross-query digest groups,
   /// plus the pinned-generation report.
   void FinishSeries(SeriesPlanState& state, const ServerExecOptions& opts,
                     EncryptedSeriesResult* out);
+
+  /// The one series executor behind every Execute* entry point:
+  /// BuildSeriesPlan, then `place` picks the placement for the pinned
+  /// plan, BuildShardUnits, one ParallelFor over the work units through
+  /// `decrypt` (the first error wins), per-shard counters summed into the
+  /// totals and checked against the SeriesExecStats identities, then
+  /// FinishSeries.
+  Result<EncryptedSeriesResult> RunSeries(
+      const QuerySeriesTokens& series, const ServerExecOptions& opts,
+      const std::function<Placement(const SeriesPlanState&)>& place,
+      const DecryptSink& decrypt);
+  /// The shared prepared-row cache resized to opts.prepared_cache_bytes,
+  /// or nullptr when the options disable the prepared pipeline.
+  PreparedRowCache* SharedCache(const ServerExecOptions& opts);
 
   /// The K-way partition view of the snapshot's table, rebuilt only when
   /// the cached view is for a different generation or effective shard

@@ -149,37 +149,12 @@ ShardDecryptResponse ShardWorker::Decrypt(const ShardDecryptRequest& req) {
     }
     table_id = TableIdFor(req.table);
   }
-  const bool use_cache = opts_.prepared_cache_bytes > 0;
-  // Miller loops per row (cold or prepared), one batched final
-  // exponentiation per decrypt_batch_rows chunk; byte-identical to the
-  // per-row path (see FinalExponentiationBatch).
-  const size_t batch = std::max<size_t>(1, opts_.decrypt_batch_rows);
-  resp.digests.reserve(held.size());
-  std::vector<Fp12> millers;
-  millers.reserve(std::min(batch, held.size()));
-  auto flush = [&] {
-    std::vector<Digest32> d = SecureJoin::DigestMillerBatch(millers);
-    resp.digests.insert(resp.digests.end(), d.begin(), d.end());
-    millers.clear();
-  };
-  for (const auto& [id, ct] : held) {
-    std::shared_ptr<const SjPreparedRow> prep;
-    bool built = false;
-    if (use_cache) prep = cache_.Get(req.table, id, ct, &built);
-    if (prep) {
-      millers.push_back(SecureJoin::DecryptRowMillerPrepared(req.token, *prep));
-      ++(built ? resp.stats.prepared_rows_built
-               : resp.stats.prepared_cache_hits);
-    } else {
-      millers.push_back(SecureJoin::DecryptRowMiller(req.token, ct));
-      ++resp.stats.pairings_computed;
-    }
-    ++resp.stats.decrypts_performed;
-    if (millers.size() >= batch) flush();
-  }
-  if (!millers.empty()) flush();
-  resp.stats.prepared_pairings =
-      resp.stats.prepared_rows_built + resp.stats.prepared_cache_hits;
+  std::vector<CachedDecryptRow> pending;
+  pending.reserve(held.size());
+  for (const auto& [id, ct] : held) pending.push_back({id, &ct});
+  resp.digests = DecryptRowsCached(
+      req.token, req.table, pending,
+      opts_.prepared_cache_bytes > 0 ? &cache_ : nullptr, &resp.stats);
   digests_computed_.fetch_add(held.size(), std::memory_order_relaxed);
 
   // This worker's ledger slice: the equality groups among the digests it

@@ -45,9 +45,6 @@ struct ShardWorkerOptions {
   /// Threads of the worker's private decrypt pool (<= 0: hardware
   /// concurrency - 1; see docs/TUNING.md, "Distributed execution").
   int num_threads = 2;
-  /// Rows per batched-final-exponentiation chunk of a decrypt request
-  /// (byte-identical for any value; see ServerExecOptions).
-  size_t decrypt_batch_rows = SecureJoin::kDefaultDecryptBatchRows;
 };
 
 class ShardWorker : public ShardFrameHandler {

@@ -358,6 +358,26 @@ TEST_F(EncryptedDbTest, StatsReflectPrefilter) {
   EXPECT_EQ(result->stats.result_pairs, 1u);
 }
 
+TEST_F(EncryptedDbTest, ExecuteJoinHonoursPreparedCacheOption) {
+  // ExecuteJoin runs as a one-query series, so ServerExecOptions applies:
+  // prepared_cache_bytes = 0 keeps its SJ.Dec cold, the default prepares
+  // every selected row into the server's cache. Same matches either way.
+  auto enc_a = server_.GetTable("Teams");
+  auto enc_b = server_.GetTable("Employees");
+  auto tokens = client_->BuildQueryTokens(PaperQueryT1(), **enc_a, **enc_b);
+  ASSERT_TRUE(tokens.ok());
+  auto cold = server_.ExecuteJoin(*tokens, {.prepared_cache_bytes = 0});
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(server_.prepared_cache().stats().entries, 0u);
+
+  auto warm = server_.ExecuteJoin(*tokens);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(server_.prepared_cache().stats().entries,
+            warm->stats.rows_selected_a + warm->stats.rows_selected_b);
+  EXPECT_EQ(warm->matched_row_indices, cold->matched_row_indices);
+  EXPECT_EQ(warm->matched_row_indices.size(), 1u);
+}
+
 TEST_F(EncryptedDbTest, LeakageIsPerQueryMinimum) {
   // Paper t1 then t2; server must link only the two matched pairs, never all
   // six equal pairs (the Hahn et al. super-additive leakage).

@@ -273,6 +273,38 @@ TEST_F(ShardSeriesTest, ShardedChainStillDeduplicatesSharedTokens) {
   ExpectBitIdentical(r->results[0], r->results[1]);
 }
 
+TEST_F(ShardSeriesTest, DelegateCountersMustAgreeWithItsBitmap) {
+  // A delegate's counters come off the network. One that claims pairings
+  // for rows its own bitmap marks absent would break the SeriesExecStats
+  // identities, so the series fails with Internal -- and the server keeps
+  // serving the next series.
+  auto series = client_->PrepareSeries({Spec()}, Tables());
+  ASSERT_TRUE(series.ok());
+  auto none_held = [](const ShardDecryptRequest& req,
+                      size_t claimed_pairings) {
+    ShardDecryptResponse resp;
+    resp.have.assign(req.rows.size(), 0);
+    resp.stats.pairings_computed = claimed_pairings;
+    return Result<ShardDecryptResponse>(std::move(resp));
+  };
+  auto lying = sharded_server_.ExecuteJoinSeriesDelegated(
+      *series, {}, 2,
+      [&](const ShardDecryptRequest& req) { return none_held(req, 5); });
+  ASSERT_FALSE(lying.ok());
+  EXPECT_EQ(lying.status().code(), StatusCode::kInternal);
+
+  // An honest all-zero answer (every replica down): local fallback.
+  auto honest = sharded_server_.ExecuteJoinSeriesDelegated(
+      *series, {}, 2,
+      [&](const ShardDecryptRequest& req) { return none_held(req, 0); });
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  auto plain = plain_server_.ExecuteJoinSeries(*series);
+  ASSERT_TRUE(plain.ok());
+  ExpectBitIdentical(honest->results[0], plain->results[0]);
+  EXPECT_EQ(honest->stats.decrypts_performed,
+            honest->stats.pairings_computed + honest->stats.prepared_pairings);
+}
+
 // --- Wire v3 -------------------------------------------------------------------
 
 TEST(ShardWireTest, SeriesResultRoundTripCarriesShardStats) {
