@@ -164,15 +164,15 @@ struct EncryptedJoinResult {
 ///
 ///   sum over shard_stats of <field> == SeriesExecStats::<field>
 ///
-/// for every field below. A skewed partition shows up here directly: one
+/// for every field below. A skewed routing shows up here directly: one
 /// shard with most of the decrypts_performed is the warm-up bottleneck
 /// the shard count K is meant to split (see docs/TUNING.md).
 struct ShardExecStats {
   size_t decrypts_performed = 0;   // digests computed by this shard
   size_t pairings_computed = 0;    // of those, cold full Miller loops
   size_t prepared_pairings = 0;    // of those, via a prepared row
-  size_t prepared_rows_built = 0;  // prepared rows built in this partition
-  size_t prepared_cache_hits = 0;  // served warm from this partition
+  size_t prepared_rows_built = 0;  // prepared rows built for this shard
+  size_t prepared_cache_hits = 0;  // this shard's rows served warm
   bool operator==(const ShardExecStats&) const = default;
 };
 

@@ -32,10 +32,11 @@
 //      table (drop/replace workflows), Clear everything. There is no TTL
 //      and no implicit invalidation path.
 //
-//   4. Sharded use: EncryptedServer's sharded path runs one instance per
-//      shard (rows are routed by ShardedTable::shard_of), so LRU pressure
-//      in one partition cannot evict -- or lock out -- another partition's
-//      entries. The contract above holds per instance.
+//   4. One instance per server: EncryptedServer decrypts through a
+//      single striped cache on every local path -- unsharded, sharded at
+//      any K, and the delegated path's local fallback. Keys name the row,
+//      not where it was routed, so shard placement never splits or cools
+//      the warm state.
 //
 // Thread-safe, and built for many-session contention: the key space is
 // hash-split across `lock_shards` internal stripes, each with its own

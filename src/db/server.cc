@@ -225,57 +225,12 @@ Result<MutationResult> EncryptedServer::ApplyMutation(
 
   // Row-granular cache invalidation: exactly the deleted rows' prepared
   // entries drop -- surviving rows stay warm (inserts have fresh ids and
-  // were never cached). Every partition is asked; EraseRow is a cheap
-  // no-op where the row was never cached or routed. The caches are
-  // internally synchronized, so only the partition-set snapshot needs
-  // shard_mu_, not the sweep itself. A series running concurrently
-  // against an older generation may re-insert a deleted row's entry
-  // afterwards; that entry is merely unreachable garbage (ids are never
-  // reused, so nothing will query it) bounded by LRU, never wrong.
-  std::shared_ptr<ShardCacheSet> caches;
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    caches = shard_caches_;
-  }
+  // were never cached). A series running concurrently against an older
+  // generation may re-insert a deleted row's entry afterwards; that entry
+  // is merely unreachable garbage (ids are never reused, so nothing will
+  // query it) bounded by LRU, never wrong.
   for (StableRowId id : applied->removed_ids) {
     prepared_cache_.EraseRow(mutation.table, id);
-    if (caches) {
-      for (auto& cache : *caches) cache->EraseRow(mutation.table, id);
-    }
-  }
-
-  // Bring an existing shard view forward incrementally: surviving rows
-  // keep their digest-hash shard, so only position bookkeeping and the
-  // inserted tail's hashes are computed. The update only applies when the
-  // cached view is exactly one generation behind (racing direct
-  // ApplyMutation callers may interleave these post-Apply steps out of
-  // order; the scheduler serializes mutations per table, but the
-  // synchronous API cannot rely on that) and the mutation keeps the
-  // view's shard count valid -- otherwise drop the view and let the next
-  // sharded call rebuild. The updated view is a fresh object published
-  // over the old one, so a concurrent series keeps using the view (and
-  // generation) it already resolved. The O(rows) bookkeeping stays under
-  // shard_mu_: it is memcpy-scale (never pairing-scale), and the
-  // generation-continuity check must be atomic with the publish.
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    auto view = shard_views_.find(mutation.table);
-    if (view != shard_views_.end()) {
-      ShardViewEntry& entry = view->second;
-      const EncryptedTable* next = applied->snapshot.table.get();
-      size_t k = entry.view ? entry.view->num_shards() : 0;
-      if (entry.generation + 1 != applied->snapshot.generation || k == 0 ||
-          ShardedTable::ClampShardCount(next->rows.size(), k) != k) {
-        shard_views_.erase(view);
-      } else {
-        auto updated = std::make_shared<ShardedTable>(*entry.view);
-        updated->RemoveRows(next, applied->removed_positions);
-        updated->AddRows(next, applied->first_inserted_position);
-        entry.generation = applied->snapshot.generation;
-        entry.table = applied->snapshot.table;
-        entry.view = std::move(updated);
-      }
-    }
   }
 
   // Leakage: nothing to do, by design. The tracker's RowIds are stable
@@ -663,114 +618,57 @@ PreparedRowCache* EncryptedServer::SharedCache(const ServerExecOptions& opts) {
   return &prepared_cache_;
 }
 
+EncryptedServer::DecryptSink EncryptedServer::LocalSink(
+    PreparedRowCache* cache) {
+  return [cache](const ShardWorkUnit& wu, ShardExecStats* stats) {
+    return wu.unit->Decrypt(wu.rows, cache, stats);
+  };
+}
+
 Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeries(
     const QuerySeriesTokens& series, const ServerExecOptions& opts) {
   // One implicit shard, reported as unsharded (shards = 0), decrypting
   // through the shared prepared-row cache: a row touched before -- under
   // any token, by any series, in any generation it survived into (keys
   // are STABLE row ids) -- decrypts via line evaluation alone.
-  PreparedRowCache* cache = SharedCache(opts);
   return RunSeries(
       series, opts,
       [](const SeriesPlanState&) {
         return Placement{0, nullptr, SecureJoin::kDefaultDecryptBatchRows};
       },
-      [cache](const ShardWorkUnit& wu, ShardExecStats* stats) {
-        return wu.unit->Decrypt(wu.rows, cache, stats);
-      });
-}
-
-std::shared_ptr<const ShardedTable> EncryptedServer::ShardViewFor(
-    const TableStore::Snapshot& snap, size_t k) {
-  const EncryptedTable& table = *snap.table;
-  size_t effective = ShardedTable::ClampShardCount(table.rows.size(), k);
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    auto it = shard_views_.find(table.name);
-    if (it != shard_views_.end() &&
-        it->second.table.get() == snap.table.get() &&
-        it->second.view->num_shards() == effective) {
-      return it->second.view;
-    }
-  }
-  // Miss: hash every row OUTSIDE the lock -- a big table's O(rows) digest
-  // pass must not stall every other session's view resolution. Racing
-  // builders may both construct; partitioning is deterministic, so the
-  // views are identical and last-publish-wins costs only the duplicate
-  // build. (A concurrent mutation may also overwrite this entry with a
-  // newer generation's view; ours stays valid for this series via the
-  // returned shared_ptr, and the next resolver rebuilds on the pointer
-  // mismatch.)
-  ShardViewEntry entry;
-  entry.generation = snap.generation;
-  entry.table = snap.table;
-  entry.view = std::make_shared<ShardedTable>(snap.table.get(), k);
-  auto view = entry.view;
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  shard_views_.insert_or_assign(table.name, std::move(entry));
-  return view;
+      LocalSink(SharedCache(opts)));
 }
 
 Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
     const QuerySeriesTokens& series, const ServerExecOptions& opts) {
-  std::map<const EncryptedTable*, std::shared_ptr<const ShardedTable>> views;
-  std::shared_ptr<ShardCacheSet> caches;
+  // Effective K: the client's routing request (wire v3) wins over the
+  // server option; both clamp to the largest referenced table, so no
+  // empty shard gets a pool task. Each table routes under its own clamp
+  // (smaller tables land on the low shard ids). An empty series has no
+  // shards; any other has at least one (there is still a merge to
+  // report). Routing is a pure function of the row's ciphertext, so the
+  // cache -- keyed by stable row id -- is the same one every path uses.
+  const size_t requested =
+      series.requested_shards > 0
+          ? series.requested_shards
+          : static_cast<size_t>(std::max(opts.num_shards, 1));
   auto place = [&](const SeriesPlanState& state) {
-    // Effective K: the client's routing request (wire v3) wins over the
-    // server option; both clamp to the largest referenced table, so no
-    // empty shard gets a cache partition or a pool task (smaller tables
-    // land on the low shard ids). An empty series has no shards; any
-    // other has at least one (there is still a merge to report).
-    size_t requested =
-        series.requested_shards > 0
-            ? series.requested_shards
-            : static_cast<size_t>(std::max(opts.num_shards, 1));
     size_t max_rows = 1;
     for (const auto& [key, unit] : state.units) {
       max_rows = std::max(max_rows, unit->table->rows.size());
     }
-    size_t k = series.queries.empty()
-                   ? 0
-                   : ShardedTable::ClampShardCount(max_rows, requested);
-
-    // Partition views resolved once against the pinned snapshots: they
-    // are immutable and generation-pinned, so a concurrent mutation
-    // republishing a newer view cannot skew routing mid-pass.
-    for (const auto& [name, snap] : state.snapshots) {
-      views.emplace(snap.table.get(), ShardViewFor(snap, k));
-    }
-
-    // Per-shard cache partitions, each with an even split of the budget:
-    // hot shards never contend on one LRU lock, and a scan evicting one
-    // partition cannot cool the others. A different K than last time
-    // republishes a fresh set (placement changed, old entries would be
-    // misfiled); a concurrent series keeps the old set alive through its
-    // shared_ptr -- superseded partitions are cold for it, never wrong.
-    if (opts.prepared_cache_bytes > 0 && !state.pending.empty()) {
-      size_t per_shard = opts.prepared_cache_bytes / k;
-      std::lock_guard<std::mutex> lock(shard_mu_);
-      if (!shard_caches_ || shard_caches_->size() != k) {
-        auto fresh = std::make_shared<ShardCacheSet>();
-        for (size_t s = 0; s < k; ++s) {
-          fresh->push_back(std::make_unique<PreparedRowCache>(per_shard));
-        }
-        shard_caches_ = std::move(fresh);
-      } else {
-        for (auto& cache : *shard_caches_) cache->set_max_bytes(per_shard);
-      }
-      caches = shard_caches_;
-    }
+    const size_t k = series.queries.empty()
+                         ? 0
+                         : ShardedTable::ClampShardCount(max_rows, requested);
     return Placement{k,
-                     [&views](const EncryptedTable* t, size_t row) {
-                       return views.at(t)->shard_of(row);
+                     [k](const EncryptedTable* t, size_t row) {
+                       return ShardedTable::ShardOfDigest(
+                           ShardedTable::RowDigest(t->rows[row]),
+                           ShardedTable::ClampShardCount(t->rows.size(), k));
                      },
                      SecureJoin::kDefaultDecryptBatchRows};
   };
-  auto decrypt = [&caches](const ShardWorkUnit& wu, ShardExecStats* stats) {
-    PreparedRowCache* cache = caches ? (*caches)[wu.shard].get() : nullptr;
-    return wu.unit->Decrypt(wu.rows, cache, stats);
-  };
-  return RunSeries(series, opts, place, decrypt);
+  return RunSeries(series, opts, place, LocalSink(SharedCache(opts)));
 }
 
 Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
@@ -828,17 +726,6 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
         }
         return digests;
       });
-}
-
-size_t EncryptedServer::shard_partition_count() const {
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  return shard_caches_ ? shard_caches_->size() : 0;
-}
-
-const PreparedRowCache* EncryptedServer::shard_cache(size_t shard) const {
-  std::lock_guard<std::mutex> lock(shard_mu_);
-  if (!shard_caches_ || shard >= shard_caches_->size()) return nullptr;
-  return (*shard_caches_)[shard].get();
 }
 
 void EncryptedServer::SubmitJoinSeriesAsync(

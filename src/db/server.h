@@ -20,7 +20,6 @@
 #include <functional>
 #include <future>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -45,15 +44,14 @@ struct ServerExecOptions {
   /// Byte budget for the server's prepared-row cache (the eviction knob;
   /// 0 disables the prepared pipeline for this call). The cache itself is
   /// per-server and persists across calls, so a series against a table a
-  /// previous series already touched starts warm. On the sharded path the
-  /// budget is split evenly across the K cache partitions.
+  /// previous series already touched starts warm -- on every path and at
+  /// every shard count.
   size_t prepared_cache_bytes = PreparedRowCache::kDefaultMaxBytes;
   /// Shard count K for ExecuteJoinSeriesSharded (<= 0: 1). Overridden by
   /// QuerySeriesTokens::requested_shards when the client set one; either
   /// source is clamped to the largest referenced table (no empty shard
-  /// ever gets a cache partition or a pool task) and to
-  /// ShardedTable::kMaxShards (the request is untrusted wire input).
-  /// See docs/TUNING.md for sizing.
+  /// ever gets a pool task) and to ShardedTable::kMaxShards (the request
+  /// is untrusted wire input). See docs/TUNING.md for sizing.
   int num_shards = 1;
   /// Server-side dispatch policy for the adaptive executor: the backends
   /// this server is willing to run, intersected with the client's
@@ -82,9 +80,7 @@ class EncryptedServer {
   /// Applies one client-prepared mutation batch (wire v4): deletes by
   /// stable id (stable-order compaction), then inserted rows appended.
   /// Cache maintenance is row-granular -- exactly the deleted rows'
-  /// prepared entries are dropped (from the unsharded cache and every
-  /// shard partition), and an existing shard view is brought forward
-  /// incrementally (surviving rows are never rehashed). Leakage
+  /// prepared entries are dropped from the prepared-row cache. Leakage
   /// accounting is deliberately NOT touched: the tracker keys rows by
   /// stable id, so a deleted row's past equality observations stay in the
   /// transitive closure -- the adversary cannot unlearn what it already
@@ -121,14 +117,14 @@ class EncryptedServer {
   Result<EncryptedSeriesResult> ExecuteJoinSeries(
       const QuerySeriesTokens& series, const ServerExecOptions& opts = {});
 
-  /// ExecuteJoinSeries over hash-partitioned tables: every referenced
-  /// table is split into K shards by row-digest hash (ShardedTable), the
-  /// batched SJ.Dec pass is scheduled as (shard x decrypt-unit) work
-  /// units (row-chunked, so parallelism is bounded by pending rows, not
-  /// by K) on the shared ThreadPool, and each shard decrypts through its
-  /// own prepared-row cache partition -- so eviction pressure and warm-up
-  /// progress on one hot shard never stall the others. Digests are merged
-  /// back by original row index before SJ.Match, which makes the results
+  /// ExecuteJoinSeries with rows routed to K shards: each pending row goes
+  /// to ShardedTable::ShardOfDigest(RowDigest(row), K clamped to its
+  /// table's row count), the batched SJ.Dec pass is scheduled as (shard x
+  /// decrypt-unit) work units (row-chunked, so parallelism is bounded by
+  /// pending rows, not by K) on the shared ThreadPool, and every unit
+  /// decrypts through the one shared prepared-row cache -- so rows warmed
+  /// by any path, at any K, stay warm here. Digests are merged back by
+  /// original row index before SJ.Match, which makes the results
   /// bit-identical to the unsharded path (asserted by tests/shard_test.cc
   /// and tests/series_test.cc); only the stats gain a per-shard breakdown
   /// (SeriesExecStats::shards / shard_stats, wire v3). Reads the same
@@ -254,26 +250,15 @@ class EncryptedServer {
   /// monitoring: snapshots, generations).
   const TableStore& table_store() const { return store_; }
 
-  /// The per-table prepared-row cache behind ExecuteJoin, ExecuteJoinSeries
-  /// and the delegated path's local fallback (exposed for tests and
-  /// benchmarks; see ServerExecOptions::prepared_cache_bytes).
-  /// The eviction / invalidation contract lives at the top of
-  /// db/prepared_cache.h and applies to every instance, including the
-  /// shard partitions below; the short version: entries are shared_ptr
-  /// (eviction never invalidates work in flight), keyed by
-  /// (table, stable row id) and invalidated per-row by ApplyMutation.
+  /// The server's one prepared-row cache, behind every local SJ.Dec:
+  /// ExecuteJoin, ExecuteJoinSeries, ExecuteJoinSeriesSharded and the
+  /// delegated path's local fallback (exposed for tests and benchmarks;
+  /// see ServerExecOptions::prepared_cache_bytes). The eviction /
+  /// invalidation contract lives at the top of db/prepared_cache.h; the
+  /// short version: entries are shared_ptr (eviction never invalidates
+  /// work in flight), keyed by (table, stable row id) and invalidated
+  /// per-row by ApplyMutation.
   const PreparedRowCache& prepared_cache() const { return prepared_cache_; }
-
-  /// Shard cache partitions currently allocated (0 until the first
-  /// sharded series ran; resized -- and re-warmed from scratch -- when a
-  /// later call uses a different effective K).
-  size_t shard_partition_count() const;
-  /// Bounds-checked partition access: nullptr when `shard` is out of
-  /// range (fewer partitions may exist than a caller's requested K --
-  /// the effective K clamps to table sizes). The pointer stays valid
-  /// until a sharded series with a different effective K republishes the
-  /// partition set; single-threaded test/monitoring use only.
-  const PreparedRowCache* shard_cache(size_t shard) const;
 
  private:
   struct SeriesPlanState;  // defined in server.cc
@@ -301,24 +286,11 @@ class EncryptedServer {
   /// Groups a plan's pending (unit, row) decryptions into ShardWorkUnits
   /// under the placement's shard_of, then subdivides groups into
   /// rows_per_task-row chunks. Chunks stay within one unit and one shard,
-  /// so cache routing and stats attribution are independent of chunking.
+  /// so stats attribution is independent of chunking.
   static std::vector<ShardWorkUnit> BuildShardUnits(
       const SeriesPlanState& state, const Placement& placement);
-
-  /// One generation of one table's K-way partition view, kept alive
-  /// independently of the TableStore (the keepalive pins the generation
-  /// the view indexes into).
-  struct ShardViewEntry {
-    uint64_t generation = 0;
-    std::shared_ptr<const EncryptedTable> table;  // keepalive for `view`
-    std::shared_ptr<const ShardedTable> view;
-  };
-  /// One published set of per-shard cache partitions. Readers snapshot
-  /// the shared_ptr and keep decrypting through the old set even if a
-  /// concurrent series with a different K republishes -- entries are
-  /// keyed by stable row id, so a superseded partition is merely cold,
-  /// never wrong.
-  using ShardCacheSet = std::vector<std::unique_ptr<PreparedRowCache>>;
+  /// The local decrypt sink: the kernel over `cache` (nullptr: cold).
+  static DecryptSink LocalSink(PreparedRowCache* cache);
 
   /// Lock stripes of the shared prepared-row cache: enough that the
   /// decrypt pools of several concurrent sessions rarely collide on one
@@ -371,15 +343,6 @@ class EncryptedServer {
   /// or nullptr when the options disable the prepared pipeline.
   PreparedRowCache* SharedCache(const ServerExecOptions& opts);
 
-  /// The K-way partition view of the snapshot's table, rebuilt only when
-  /// the cached view is for a different generation or effective shard
-  /// count (partitioning is deterministic, so a rebuild never changes row
-  /// placement for the same K; a mutation brings a view forward
-  /// incrementally inside ApplyMutation). Thread-safe; the returned view
-  /// is immutable and keeps its table generation alive.
-  std::shared_ptr<const ShardedTable> ShardViewFor(
-      const TableStore::Snapshot& snap, size_t k);
-
   TableStore store_;
   std::mutex ids_mu_;
   std::map<std::string, int> table_ids_;
@@ -390,12 +353,6 @@ class EncryptedServer {
   AdaptiveExecutor executor_{&leakage_};
   PreparedRowCache prepared_cache_{PreparedRowCache::kDefaultMaxBytes,
                                    kPreparedCacheLockShards};
-  /// Sharded-path state (guarded by shard_mu_): partition views per table
-  /// and the published per-shard cache partitions. Both are republished
-  /// via shared_ptr swap so in-flight readers never observe a teardown.
-  mutable std::mutex shard_mu_;
-  std::map<std::string, ShardViewEntry> shard_views_;
-  std::shared_ptr<ShardCacheSet> shard_caches_;
   /// Session registry + request scheduler. Declared last: the scheduler's
   /// destructor drains in-flight requests, which must happen while the
   /// state above is still alive.

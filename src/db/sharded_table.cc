@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "db/table_store.h"
 #include "db/wire.h"
 
 namespace sjoin {
@@ -26,59 +25,6 @@ size_t ShardedTable::ShardOfDigest(const Digest32& digest, size_t num_shards) {
     v |= static_cast<uint64_t>(digest[i]) << (8 * i);
   }
   return static_cast<size_t>(v % num_shards);
-}
-
-ShardedTable::ShardedTable(const EncryptedTable* table, size_t requested_shards)
-    : table_(table) {
-  size_t k = ClampShardCount(table->rows.size(), requested_shards);
-  rows_.resize(k);
-  shard_of_.reserve(table->rows.size());
-  for (size_t r = 0; r < table->rows.size(); ++r) {
-    size_t s = ShardOfDigest(RowDigest(table->rows[r]), k);
-    shard_of_.push_back(s);
-    rows_[s].push_back(r);
-  }
-}
-
-void ShardedTable::RemoveRows(const EncryptedTable* table,
-                              const std::vector<size_t>& positions) {
-  table_ = table;
-  if (positions.empty()) return;
-  // Compact shard_of_ through the SAME stable-order loop TableStore::
-  // Apply runs on the snapshot (ForEachSurvivingPosition), then rebuild
-  // the per-shard position lists from it. Integer bookkeeping only --
-  // the expensive part of partitioning, hashing row ciphertexts, is
-  // untouched because surviving rows keep their content and shard.
-  std::vector<size_t> next_shard_of;
-  next_shard_of.reserve(shard_of_.size() - positions.size());
-  ForEachSurvivingPosition(shard_of_.size(), positions, [&](size_t p) {
-    next_shard_of.push_back(shard_of_[p]);
-  });
-  shard_of_ = std::move(next_shard_of);
-  for (auto& shard : rows_) shard.clear();
-  for (size_t p = 0; p < shard_of_.size(); ++p) {
-    rows_[shard_of_[p]].push_back(p);
-  }
-}
-
-void ShardedTable::AddRows(const EncryptedTable* table, size_t first_new_row) {
-  table_ = table;
-  for (size_t p = first_new_row; p < table->rows.size(); ++p) {
-    size_t s = ShardOfDigest(RowDigest(table->rows[p]), rows_.size());
-    shard_of_.push_back(s);
-    rows_[s].push_back(p);  // appended positions ascend: table order holds
-  }
-}
-
-EncryptedTable ShardedTable::MaterializeShard(size_t shard) const {
-  EncryptedTable out;
-  out.name = table_->name + "/shard" + std::to_string(shard);
-  out.schema = table_->schema;
-  out.join_column = table_->join_column;
-  out.attr_columns = table_->attr_columns;
-  out.rows.reserve(rows_[shard].size());
-  for (size_t r : rows_[shard]) out.rows.push_back(table_->rows[r]);
-  return out;
 }
 
 }  // namespace sjoin

@@ -1,8 +1,9 @@
-// Hash-partitioned view of one EncryptedTable: rows are assigned to K
-// shards by a digest of their SJ ciphertext, so the assignment is (a)
-// deterministic across processes -- client and server agree on routing
-// without extra metadata -- and (b) independent of row order, selection
-// predicates, and query tokens.
+// Row -> shard routing for the sharded and distributed series paths: a
+// row goes to the shard its SJ ciphertext's digest hashes to, so the
+// assignment is (a) deterministic across processes -- client, server,
+// coordinator and workers agree on routing without extra metadata -- and
+// (b) independent of row order, selection predicates, and query tokens.
+// Routing is a pure function of the row; nothing is kept per table.
 //
 // Why this preserves the equi-join result: SJ.Dec of a row yields the
 // same GT digest no matter which shard the row lives in (the pairing
@@ -13,16 +14,10 @@
 // bit. The paper's series analysis (amortizing SJ.Dec over the corpus)
 // carries over shard by shard -- see docs/ARCHITECTURE.md, "Sharded
 // series execution".
-//
-// The view holds index vectors, not row copies: shard s of table T is
-// the ordered list of T's row indices whose digest hashes to s. A
-// future multi-node backend would place MaterializeShard(s) on node s;
-// the in-process engine only needs the routing.
 #ifndef SJOIN_DB_SHARDED_TABLE_H_
 #define SJOIN_DB_SHARDED_TABLE_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "db/encrypted_table.h"
 
@@ -30,24 +25,20 @@ namespace sjoin {
 
 class ShardedTable {
  public:
-  ShardedTable() = default;
-
-  /// Partitions `table` (not owned; must outlive the view) into
-  /// ClampShardCount(table.rows.size(), requested_shards) shards.
-  ShardedTable(const EncryptedTable* table, size_t requested_shards);
+  ShardedTable() = delete;
 
   /// Hard ceiling on shard counts. The request can arrive over the wire
   /// (QuerySeriesTokens::requested_shards is untrusted input), so an
-  /// absurd value must clamp instead of allocating absurd cache
-  /// partitions and stats vectors; past a few times the core count more
-  /// shards only shrink each partition's cache budget anyway.
+  /// absurd value must clamp instead of allocating absurd stats vectors;
+  /// past a few times the core count more shards only shrink each work
+  /// unit anyway.
   static constexpr size_t kMaxShards = 1024;
 
   /// The shard count actually used for a table of `rows` rows when
   /// `requested` shards are asked for: empty tables get no shards, and
   /// the count never exceeds the row count (an empty shard would only
-  /// waste a cache partition and a pool task) nor kMaxShards. A request
-  /// of 0 means 1.
+  /// waste a pool task and a stats slot) nor kMaxShards. A request of 0
+  /// means 1.
   static size_t ClampShardCount(size_t rows, size_t requested);
 
   /// Content digest of one row's SJ ciphertext (the G2 points only --
@@ -57,49 +48,6 @@ class ShardedTable {
 
   /// Shard index of a row digest under a `num_shards`-way partition.
   static size_t ShardOfDigest(const Digest32& digest, size_t num_shards);
-
-  const EncryptedTable& table() const { return *table_; }
-  size_t num_shards() const { return rows_.size(); }
-  /// Shard owning row `row` of the underlying table.
-  size_t shard_of(size_t row) const { return shard_of_[row]; }
-  /// Original row indices of shard `shard`, in table order.
-  const std::vector<size_t>& shard_rows(size_t shard) const {
-    return rows_[shard];
-  }
-
-  /// Copies shard `shard` out as a standalone EncryptedTable named
-  /// "<name>/shard<i>" (schema and column metadata preserved). This is
-  /// the placement unit of a multi-node deployment; the in-process
-  /// engine never materializes.
-  EncryptedTable MaterializeShard(size_t shard) const;
-
-  // --- Incremental maintenance (mutation pipeline) ------------------------
-  //
-  // A TableStore mutation publishes a new table version (deletes applied
-  // as stable-order compaction, inserts appended). The two calls below
-  // bring an existing view to that version WITHOUT rehashing unchanged
-  // rows: routing is content-addressed (RowDigest of the SJ ciphertext),
-  // so surviving rows keep their shard and only position bookkeeping
-  // moves. Call RemoveRows first (positions are pre-mutation), then
-  // AddRows for the appended tail; the shard count K is preserved -- when
-  // the mutation changes ClampShardCount's answer, rebuild from scratch
-  // instead (EncryptedServer does exactly that on the next sharded call).
-
-  /// Re-points the view at `table` (the post-mutation version) and drops
-  /// the rows at `positions` (PRE-mutation positions, ascending, as
-  /// reported by TableStore::Applied::removed_positions). Surviving rows
-  /// are renumbered; no digest is recomputed.
-  void RemoveRows(const EncryptedTable* table,
-                  const std::vector<size_t>& positions);
-  /// Routes the appended rows [first_new_row, table->rows.size()) to
-  /// shards by digest -- O(inserted rows), not O(table). Must not be
-  /// called on a 0-shard (empty) view; rebuild instead.
-  void AddRows(const EncryptedTable* table, size_t first_new_row);
-
- private:
-  const EncryptedTable* table_ = nullptr;
-  std::vector<size_t> shard_of_;            // row -> shard
-  std::vector<std::vector<size_t>> rows_;   // shard -> rows, table order
 };
 
 }  // namespace sjoin

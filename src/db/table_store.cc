@@ -80,8 +80,8 @@ Result<TableStore::Applied> TableStore::Apply(const TableMutation& mutation) {
   // Validate the whole batch before changing anything. Reading snap under
   // writer_mu alone is safe: only writers (serialized here) modify it.
   const EncryptedTable& cur = *stored.snap.table;
-  std::vector<size_t> removed_positions;
-  removed_positions.reserve(mutation.deletes.size());
+  std::vector<size_t> deleted_positions;
+  deleted_positions.reserve(mutation.deletes.size());
   for (StableRowId id : mutation.deletes) {
     auto pos = stored.id_to_pos.find(id);
     if (pos == stored.id_to_pos.end()) {
@@ -89,11 +89,11 @@ Result<TableStore::Applied> TableStore::Apply(const TableMutation& mutation) {
                               std::to_string(id) +
                               " (already deleted, or never assigned)");
     }
-    removed_positions.push_back(pos->second);
+    deleted_positions.push_back(pos->second);
   }
-  std::sort(removed_positions.begin(), removed_positions.end());
-  if (std::adjacent_find(removed_positions.begin(), removed_positions.end()) !=
-      removed_positions.end()) {
+  std::sort(deleted_positions.begin(), deleted_positions.end());
+  if (std::adjacent_find(deleted_positions.begin(), deleted_positions.end()) !=
+      deleted_positions.end()) {
     return Status::InvalidArgument("duplicate delete id in mutation of '" +
                                    mutation.table + "'");
   }
@@ -132,19 +132,17 @@ Result<TableStore::Applied> TableStore::Apply(const TableMutation& mutation) {
   next_table->attr_columns = cur.attr_columns;
   auto next_ids = std::make_shared<std::vector<StableRowId>>();
   const std::vector<StableRowId>& cur_ids = *stored.snap.row_ids;
-  size_t final_rows = cur.rows.size() - removed_positions.size() +
+  size_t final_rows = cur.rows.size() - deleted_positions.size() +
                       mutation.inserts.size();
   next_table->rows.reserve(final_rows);
   next_ids->reserve(final_rows);
-  ForEachSurvivingPosition(cur.rows.size(), removed_positions, [&](size_t p) {
+  ForEachSurvivingPosition(cur.rows.size(), deleted_positions, [&](size_t p) {
     next_table->rows.push_back(cur.rows[p]);
     next_ids->push_back(cur_ids[p]);
   });
 
   Applied out;
   out.removed_ids = mutation.deletes;
-  out.removed_positions = std::move(removed_positions);
-  out.first_inserted_position = next_table->rows.size();
   for (const EncryptedRow& row : mutation.inserts) {
     next_table->rows.push_back(row);
     next_ids->push_back(stored.next_row_id);

@@ -94,10 +94,9 @@ struct MutationResult {
 
 /// Calls `keep(p)` for every position in [0, size) not listed in
 /// `removed` (which must be ascending), in order -- the one stable-order
-/// compaction that TableStore::Apply (rows + ids), the incremental shard
-/// view (ShardedTable::RemoveRows) and any future consumer must agree
-/// on. Sharing the loop is what keeps a view's positions synchronized
-/// with the snapshot it mirrors.
+/// compaction that TableStore::Apply (rows + ids) runs and that any
+/// shadow copy of a table (a test's or a benchmark's plaintext twin)
+/// must agree on to keep its positions synchronized with the snapshot.
 template <typename Fn>
 void ForEachSurvivingPosition(size_t size, const std::vector<size_t>& removed,
                               Fn&& keep) {
@@ -123,18 +122,12 @@ class TableStore {
     uint64_t generation = 0;
   };
 
-  /// Everything EncryptedServer needs to maintain its derived state
-  /// (caches, shard views) incrementally after one Apply.
+  /// Everything EncryptedServer needs to maintain its derived state (the
+  /// prepared-row cache) incrementally after one Apply.
   struct Applied {
     MutationResult result;
     /// Ids the batch removed (echo of TableMutation::deletes).
     std::vector<StableRowId> removed_ids;
-    /// Positions of the removed rows in the PRE-mutation snapshot,
-    /// ascending (what ShardedTable::RemoveRows consumes).
-    std::vector<size_t> removed_positions;
-    /// First position of the appended rows in the post-mutation snapshot
-    /// (== post-mutation row count minus the insert count).
-    size_t first_inserted_position = 0;
     /// The post-mutation snapshot.
     Snapshot snapshot;
   };

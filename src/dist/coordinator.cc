@@ -457,20 +457,6 @@ Result<MutationResult> Coordinator::ApplyMutation(
 
 Result<EncryptedSeriesResult> Coordinator::ExecuteSeries(
     const QuerySeriesTokens& series) {
-  bool have_workers = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, w] : workers_) {
-      if (w->healthy.load(std::memory_order_relaxed)) {
-        have_workers = true;
-        break;
-      }
-    }
-  }
-  if (!have_workers) {
-    // No reachable cluster: the coordinator IS a single-node server.
-    return engine_.ExecuteJoinSeriesSharded(series, opts_.exec);
-  }
   return engine_.ExecuteJoinSeriesDelegated(
       series, opts_.exec, num_shards_,
       [this](const ShardDecryptRequest& req) -> Result<ShardDecryptResponse> {
@@ -518,11 +504,12 @@ Result<EncryptedSeriesResult> Coordinator::ExecuteSeries(
           // Unavailable: fall through to the next replica in rendezvous
           // order.
         }
-        // Every replica of the shard is down (or none exist): decrypt
-        // the slice coordinator-locally from the pinned snapshot. An
-        // all-zero presence bitmap routes every row to the delegated
-        // executor's local-fallback path -- byte-identical by
-        // construction, the series never fails over a dead worker.
+        // Every replica of the shard is down, or the cluster has no
+        // workers at all: decrypt the slice coordinator-locally from the
+        // pinned snapshot. An all-zero presence bitmap routes every row
+        // to the delegated executor's local-fallback path --
+        // byte-identical by construction, the series never fails over a
+        // dead worker.
         {
           std::lock_guard<std::mutex> lock(mu_);
           ++stats_.local_fallback_units;

@@ -27,9 +27,9 @@
 // background reconnect loop re-dials unhealthy workers with capped,
 // jittered exponential backoff and re-uploads whatever they missed while
 // down (mutation slices, tables stored, membership moves) before
-// returning them to the rotation. With no reachable workers at all,
-// ExecuteSeries falls back to local sharded execution -- a coordinator
-// is always usable.
+// returning them to the rotation. With no reachable workers at all, the
+// same path decrypts every slice locally through the engine's prepared-row
+// cache -- a coordinator is always usable.
 #ifndef SJOIN_DIST_COORDINATOR_H_
 #define SJOIN_DIST_COORDINATOR_H_
 
@@ -111,8 +111,8 @@ class Coordinator {
   /// Executes the series with the SJ.Dec pass delegated to the workers
   /// (EncryptedServer::ExecuteJoinSeriesDelegated). Each decrypt slice
   /// tries its shard's replicas in rendezvous order; with every replica
-  /// down the slice is decrypted locally. Falls back to local sharded
-  /// execution when no healthy workers are registered at all.
+  /// down -- or no healthy worker registered at all -- the slice is
+  /// decrypted locally (counted in stats().local_fallback_*).
   Result<EncryptedSeriesResult> ExecuteSeries(const QuerySeriesTokens& series);
 
   // --- Membership ----------------------------------------------------------
@@ -162,7 +162,7 @@ class Coordinator {
     uint64_t decrypt_rpcs = 0;    // decrypt RPCs actually attempted
     uint64_t decrypt_rpc_failures = 0;
     uint64_t failover_decrypts = 0;    // units served by a non-primary replica
-    uint64_t local_fallback_units = 0; // units with every replica down
+    uint64_t local_fallback_units = 0; // units with no healthy replica
     uint64_t local_fallback_rows = 0;  // rows across those units
     uint64_t mutation_rpcs = 0;           // successful slice RPCs
     uint64_t mutation_rpc_failures = 0;   // failed slices (queued for heal)

@@ -383,6 +383,15 @@ TEST(DistByteIdentity, ZeroWorkersFallBackToLocalExecution) {
   ExpectMatchesSingleNode(env, series);
   EXPECT_EQ(env.coord->stats().decrypt_rpcs, 0u);
   EXPECT_EQ(env.coord->stats().shard_uploads, 0u);
+  // Both runs took the delegated path with no owner for any shard: every
+  // decrypted row went through the local fallback, reported under the
+  // cluster's fixed placement K.
+  auto again = env.coord->ExecuteSeries(series);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_GT(again->stats.decrypts_performed, 0u);
+  EXPECT_EQ(env.coord->stats().local_fallback_rows,
+            2 * again->stats.decrypts_performed);
+  EXPECT_EQ(again->stats.shards, env.coord->num_shards());
 }
 
 TEST(DistByteIdentity, DelegatedStatsAgreeWithWorkerCounters) {

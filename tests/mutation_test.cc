@@ -1,7 +1,7 @@
 // Dynamic encrypted tables: the generational TableStore, client-side
 // delta preparation, server-side ApplyMutation, row-granular cache
-// retention, incremental shard-view maintenance, stable-id leakage
-// accounting and the wire v4 mutation messages.
+// retention, stable-id leakage accounting and the wire v4 mutation
+// messages.
 //
 // The acceptance property is equivalence: a series executed after
 // ApplyMutation must return results byte-identical (at the plaintext
@@ -18,7 +18,6 @@
 
 #include "db/client.h"
 #include "db/server.h"
-#include "db/sharded_table.h"
 #include "db/table_store.h"
 #include "db/wire.h"
 
@@ -145,8 +144,6 @@ TEST_F(TableStoreTest, ApplyCompactsDeletesThenAppendsInserts) {
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(applied->result.generation, 2u);
   EXPECT_EQ(applied->result.inserted_ids, (std::vector<StableRowId>{3, 4}));
-  EXPECT_EQ(applied->removed_positions, (std::vector<size_t>{1}));
-  EXPECT_EQ(applied->first_inserted_position, 2u);
 
   auto after = store.Get("Orders");
   ASSERT_TRUE(after.ok());
@@ -274,40 +271,6 @@ TEST_F(TableStoreTest, DimensionGuardSurvivesEmptyingTheTable) {
   auto applied = store.Apply(refill);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(applied->result.inserted_ids, (std::vector<StableRowId>{3}));
-}
-
-// --- ShardedTable incremental maintenance --------------------------------------
-
-TEST(ShardedTableDeltaTest, IncrementalDeltaMatchesFreshPartition) {
-  EncryptedClient client({.num_attrs = 1, .max_in_clause = 1,
-                          .rng_seed = 2200});
-  auto enc = client.EncryptTable(MakeOrders(20), "k");
-  ASSERT_TRUE(enc.ok());
-  auto extra = client.EncryptTable(MakeOrders(4), "k");
-  ASSERT_TRUE(extra.ok());
-
-  // The post-mutation table: positions {2, 5, 11} compacted out, four
-  // rows appended (exactly TableStore's layout).
-  EncryptedTable post = *enc;
-  for (size_t p : {size_t{11}, size_t{5}, size_t{2}}) {
-    post.rows.erase(post.rows.begin() + p);
-  }
-  size_t first_new = post.rows.size();
-  for (const EncryptedRow& row : extra->rows) post.rows.push_back(row);
-
-  ShardedTable view(&*enc, 4);
-  view.RemoveRows(&post, {2, 5, 11});
-  view.AddRows(&post, first_new);
-
-  ShardedTable fresh(&post, 4);
-  ASSERT_EQ(view.num_shards(), fresh.num_shards());
-  for (size_t r = 0; r < post.rows.size(); ++r) {
-    EXPECT_EQ(view.shard_of(r), fresh.shard_of(r)) << "row " << r;
-  }
-  for (size_t s = 0; s < fresh.num_shards(); ++s) {
-    EXPECT_EQ(view.shard_rows(s), fresh.shard_rows(s)) << "shard " << s;
-  }
-  EXPECT_EQ(&view.table(), &post);
 }
 
 // --- Equivalence: mutated tables vs scratch re-encryption ----------------------
@@ -475,64 +438,54 @@ class MutationCacheTest : public ::testing::Test {
     return m;
   }
 
+  // Warms the server's one prepared-row cache through `run`, applies a
+  // one-row churn and checks that exactly the deleted row went cold.
+  template <typename Run>
+  void ExpectRowGranularRetention(Run run) {
+    auto warm_series = client_->PrepareSeries({Spec()}, {&enc_a_, &enc_b_});
+    ASSERT_TRUE(warm_series.ok());
+    ASSERT_TRUE(run(*warm_series).ok());
+    ASSERT_EQ(server_.prepared_cache().stats().entries, 8u);  // 2 + 6 rows
+
+    auto churn = OneRowChurn();
+    ASSERT_TRUE(churn.ok());
+    auto applied = server_.ApplyMutation(*churn);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_EQ(applied->generation, 2u);
+    EXPECT_EQ(applied->inserted_ids, (std::vector<StableRowId>{6}));
+    // Exactly the deleted row's entry dropped; 7 of 8 stayed warm.
+    EXPECT_EQ(server_.prepared_cache().stats().entries, 7u);
+
+    auto series = client_->PrepareSeries({Spec()}, {&enc_a_, &enc_b_});
+    ASSERT_TRUE(series.ok());
+    auto r = run(*series);
+    ASSERT_TRUE(r.ok());
+    // 2 + 6 live rows decrypt; only the inserted row is cold-built. This
+    // is the retention property: 1-row churn costs 1 row of warm state,
+    // not the table.
+    EXPECT_EQ(r->stats.decrypts_performed, 8u);
+    EXPECT_EQ(r->stats.prepared_cache_hits, 7u);
+    EXPECT_EQ(r->stats.prepared_rows_built, 1u);
+    EXPECT_EQ(r->stats.pairings_computed, 0u);
+  }
+
   std::unique_ptr<EncryptedClient> client_;
   EncryptedServer server_;
   EncryptedTable enc_a_, enc_b_;
 };
 
 TEST_F(MutationCacheTest, MutationInvalidatesOnlyDeletedRows) {
-  auto warm_series = client_->PrepareSeries({Spec()}, {&enc_a_, &enc_b_});
-  ASSERT_TRUE(warm_series.ok());
-  ASSERT_TRUE(server_.ExecuteJoinSeries(*warm_series).ok());
-  ASSERT_EQ(server_.prepared_cache().stats().entries, 8u);  // 2 + 6 rows
-
-  auto churn = OneRowChurn();
-  ASSERT_TRUE(churn.ok());
-  auto applied = server_.ApplyMutation(*churn);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(applied->generation, 2u);
-  EXPECT_EQ(applied->inserted_ids, (std::vector<StableRowId>{6}));
-  // Exactly the deleted row's entry dropped; 7 of 8 stayed warm.
-  EXPECT_EQ(server_.prepared_cache().stats().entries, 7u);
-
-  auto series = client_->PrepareSeries({Spec()}, {&enc_a_, &enc_b_});
-  ASSERT_TRUE(series.ok());
-  auto r = server_.ExecuteJoinSeries(*series, {.num_threads = 1});
-  ASSERT_TRUE(r.ok());
-  // 2 + 6 live rows decrypt; only the inserted row is cold-built. This is
-  // the tentpole's retention property: 1-row churn costs 1 row of warm
-  // state, not the table.
-  EXPECT_EQ(r->stats.decrypts_performed, 8u);
-  EXPECT_EQ(r->stats.prepared_cache_hits, 7u);
-  EXPECT_EQ(r->stats.prepared_rows_built, 1u);
-  EXPECT_EQ(r->stats.pairings_computed, 0u);
+  ExpectRowGranularRetention([&](const QuerySeriesTokens& q) {
+    return server_.ExecuteJoinSeries(q, {.num_threads = 1});
+  });
 }
 
 TEST_F(MutationCacheTest, ShardedPartitionsRetainWarmRowsAcrossMutation) {
-  auto warm_series = client_->PrepareSeries({Spec()}, {&enc_a_, &enc_b_});
-  ASSERT_TRUE(warm_series.ok());
-  ASSERT_TRUE(server_.ExecuteJoinSeriesSharded(*warm_series,
-                                               {.num_shards = 2}).ok());
-  ASSERT_EQ(server_.shard_partition_count(), 2u);
-  size_t warm_entries = server_.shard_cache(0)->stats().entries +
-                        server_.shard_cache(1)->stats().entries;
-  ASSERT_EQ(warm_entries, 8u);
-
-  auto churn = OneRowChurn();
-  ASSERT_TRUE(churn.ok());
-  ASSERT_TRUE(server_.ApplyMutation(*churn).ok());
-  EXPECT_EQ(server_.shard_cache(0)->stats().entries +
-                server_.shard_cache(1)->stats().entries,
-            7u);
-
-  auto series = client_->PrepareSeries({Spec()}, {&enc_a_, &enc_b_});
-  ASSERT_TRUE(series.ok());
-  auto r = server_.ExecuteJoinSeriesSharded(*series, {.num_shards = 2});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.decrypts_performed, 8u);
-  EXPECT_EQ(r->stats.prepared_cache_hits, 7u);
-  EXPECT_EQ(r->stats.prepared_rows_built, 1u);
-  EXPECT_EQ(r->stats.pairings_computed, 0u);
+  // The sharded entry point's shards decrypt through the same cache, so
+  // they see the same row-granular retention.
+  ExpectRowGranularRetention([&](const QuerySeriesTokens& q) {
+    return server_.ExecuteJoinSeriesSharded(q, {.num_shards = 2});
+  });
 }
 
 // --- Leakage across mutations --------------------------------------------------
@@ -570,17 +523,8 @@ TEST_F(MutationCacheTest, DeletedRowsStayInClosureAndIdsNeverAlias) {
 // --- Server surface satellites -------------------------------------------------
 
 TEST_F(MutationCacheTest, ShardCacheIsBoundsCheckedAndNotFoundIsCanonical) {
-  // No sharded series ran yet: every index is out of range, not UB.
-  EXPECT_EQ(server_.shard_partition_count(), 0u);
-  EXPECT_EQ(server_.shard_cache(0), nullptr);
-
   auto series = client_->PrepareSeries({Spec()}, {&enc_a_, &enc_b_});
   ASSERT_TRUE(series.ok());
-  ASSERT_TRUE(server_.ExecuteJoinSeriesSharded(*series,
-                                               {.num_shards = 2}).ok());
-  EXPECT_NE(server_.shard_cache(1), nullptr);
-  EXPECT_EQ(server_.shard_cache(2), nullptr);
-  EXPECT_EQ(server_.shard_cache(size_t{1} << 40), nullptr);
 
   // Every missing-table path speaks the same NotFound message.
   const std::string want = "table 'Nope' not stored";

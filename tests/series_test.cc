@@ -40,10 +40,12 @@ TEST(ThreadPoolTest, ParallelismClampedToWorkSize) {
 }
 
 TEST(ThreadPoolTest, SubmitRunsEnqueuedTasks) {
-  ThreadPool pool(2);
   std::atomic<int> ran{0};
   std::mutex mu;
   std::condition_variable cv;
+  // Declared after what its tasks touch, so it joins its threads first: a
+  // task may still be inside cv.notify_one() when the wait below returns.
+  ThreadPool pool(2);
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(pool.Submit([&] {
       if (ran.fetch_add(1) + 1 == 10) cv.notify_one();
@@ -568,7 +570,7 @@ TEST_F(SeriesTest, ShardedSeriesBitIdenticalToUnsharded) {
 
 // K far beyond the row count: the effective shard count clamps to the
 // largest referenced table (Employees, 4 rows), so no empty shard ever
-// allocates a cache partition or schedules a pool task.
+// gets a stats slot or schedules a pool task.
 TEST_F(SeriesTest, ShardCountClampedToRowCount) {
   auto series = client_->PrepareSeries({TeamsEmployeesSpec()}, Tables());
   ASSERT_TRUE(series.ok());
@@ -576,8 +578,7 @@ TEST_F(SeriesTest, ShardCountClampedToRowCount) {
                                                    {.num_shards = 64});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->stats.shards, 4u);  // max(2 Teams rows, 4 Employees rows)
-  EXPECT_EQ(r->stats.shard_stats.size(), 4u);
-  EXPECT_EQ(series_server_.shard_partition_count(), 4u);  // not 64
+  EXPECT_EQ(r->stats.shard_stats.size(), 4u);  // not 64
   // All 6 decrypts happened, distributed over the real shards only.
   size_t sum = 0;
   for (const ShardExecStats& s : r->stats.shard_stats) {
@@ -593,13 +594,14 @@ TEST_F(SeriesTest, ShardCountClampedToRowCount) {
             plain->results[0].matched_row_indices);
 }
 
-// An empty series must not allocate shard partitions at all.
+// An empty series has no shards at all.
 TEST_F(SeriesTest, EmptyShardedSeriesAllocatesNothing) {
   auto r = series_server_.ExecuteJoinSeriesSharded(QuerySeriesTokens{},
                                                    {.num_shards = 8});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->results.empty());
-  EXPECT_EQ(series_server_.shard_partition_count(), 0u);
+  EXPECT_EQ(r->stats.shards, 0u);
+  EXPECT_TRUE(r->stats.shard_stats.empty());
 }
 
 TEST(SeriesWireTest, OutOfRangeSseColumnIndexMatchesNothing) {
