@@ -16,10 +16,11 @@
 // decrypt reads its lines from the cache and pays evaluation only.
 //
 // The shard-count sweep (K in {1, 2, 4, 8}) runs the same warm series
-// through ExecuteJoinSeriesSharded: tables hash-partitioned K ways, one
-// prepared-row cache partition per shard, (shard x unit) work units on
-// the pool. K=1 must sit within noise of the unsharded engine (sharding
-// is pure routing), and the merged results are checked identical.
+// through ExecuteJoinSeriesSharded: rows routed K ways by ciphertext
+// digest, (shard x unit) work units on the pool, every K decrypting
+// through the server's one prepared-row cache. K=1 must sit within noise
+// of the unsharded engine (sharding is pure routing), and the merged
+// results are checked identical.
 //
 // The churn sweep measures the mutation pipeline's cache retention:
 // between warm series, a mutation batch deletes p% of each table's live
@@ -185,10 +186,10 @@ int main() {
   print_stats("cold:", cold_stats);
   print_stats("warm:", warm_stats);
 
-  // Shard-count sweep. Every K is primed first (a K switch re-partitions
-  // the cache partitions), then measured warm -- steady state for a server
-  // that settled on that K. Result identity vs the unsharded engine is
-  // asserted on the first sweep point.
+  // Shard-count sweep. Every K is primed first (the priming pass also
+  // checks result identity vs the unsharded engine), then measured warm.
+  // All K share the one prepared-row cache the unsharded series already
+  // warmed, so a K switch moves no cache state.
   std::printf("\nshard-count sweep (sharded engine, warm, %d threads):\n", hw);
   auto plain = server.ExecuteJoinSeries(series, {.num_threads = hw});
   SJOIN_CHECK(plain.ok());

@@ -176,6 +176,17 @@ struct ShardExecStats {
   bool operator==(const ShardExecStats&) const = default;
 };
 
+/// Adds one shard's SJ.Dec counters into a shard or series total (the two
+/// stats structs share these field names).
+template <typename Stats>
+void AddShardStats(Stats* into, const ShardExecStats& s) {
+  into->decrypts_performed += s.decrypts_performed;
+  into->pairings_computed += s.pairings_computed;
+  into->prepared_pairings += s.prepared_pairings;
+  into->prepared_rows_built += s.prepared_rows_built;
+  into->prepared_cache_hits += s.prepared_cache_hits;
+}
+
 /// Series-level accounting: how much SJ.Dec work the batch needed and how
 /// much the two server-side caches saved. A multi-way chain whose queries
 /// share the middle-table token decrypts each shared row once;

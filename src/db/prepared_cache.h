@@ -162,10 +162,11 @@ struct CachedDecryptRow {
 /// for each row of `table`, the prepared Miller loop when `cache` (may be
 /// null) holds or admits the row, the cold one otherwise; then one batched
 /// final exponentiation per SecureJoin::kDefaultDecryptBatchRows rows.
-/// Sequential -- callers parallelize across calls. Returns the digests
-/// aligned with `rows` (byte-identical to per-row DecryptToDigest) and adds
-/// this call's decrypts_performed, pairings_computed and prepared_* counts
-/// to *stats.
+/// Sequential -- callers parallelize across calls: the series executor
+/// over its work units, ShardWorker over contiguous chunks of one decrypt
+/// slice. Returns the digests aligned with `rows` (byte-identical to
+/// per-row DecryptToDigest) and adds this call's decrypts_performed,
+/// pairings_computed and prepared_* counts to *stats.
 std::vector<Digest32> DecryptRowsCached(const SjToken& token,
                                         const std::string& table,
                                         std::span<const CachedDecryptRow> rows,

@@ -42,17 +42,6 @@ Digest32 TokenFingerprint(const SjToken& token) {
   return Sha256::Hash(w.bytes());
 }
 
-/// Adds one shard's SJ.Dec counters into a shard or series total (the two
-/// stats structs share these field names).
-template <typename Stats>
-void AddShardStats(Stats* into, const ShardExecStats& s) {
-  into->decrypts_performed += s.decrypts_performed;
-  into->pairings_computed += s.pairings_computed;
-  into->prepared_pairings += s.prepared_pairings;
-  into->prepared_rows_built += s.prepared_rows_built;
-  into->prepared_cache_hits += s.prepared_cache_hits;
-}
-
 /// Rejects a delegate's answer that does not fit its request: one presence
 /// bit per requested row, one digest per set bit, and counters that agree
 /// with the bitmap (the SeriesExecStats identities, per slice) -- the

@@ -17,10 +17,15 @@
 // tracker the single-node server uses.
 //
 // Threading: Handle() (event-loop thread) moves every request onto the
-// worker's OWN thread pool and returns immediately. The pool is private
-// -- never ThreadPool::Shared() -- so an in-process coordinator whose
-// delegated pass blocks every shared-pool thread on worker RPCs cannot
-// starve the very decrypts those RPCs wait for.
+// worker's OWN thread pool and returns immediately. A decrypt request then
+// fans out over that same pool: its held rows split into contiguous
+// chunks (at most one final-exponentiation batch each, fewer rows when
+// the slice is short) that the pool's threads decrypt concurrently, so
+// one slice uses every thread even though the coordinator sends this
+// worker one request at a time. The pool is private -- never
+// ThreadPool::Shared() -- so an in-process coordinator whose delegated
+// pass blocks every shared-pool thread on worker RPCs cannot starve the
+// very decrypts those RPCs wait for.
 #ifndef SJOIN_DIST_WORKER_H_
 #define SJOIN_DIST_WORKER_H_
 
@@ -42,8 +47,10 @@ namespace sjoin {
 struct ShardWorkerOptions {
   /// Byte budget of the worker's prepared-row cache (0 disables it).
   size_t prepared_cache_bytes = PreparedRowCache::kDefaultMaxBytes;
-  /// Threads of the worker's private decrypt pool (<= 0: hardware
-  /// concurrency - 1; see docs/TUNING.md, "Distributed execution").
+  /// Threads of the worker's private decrypt pool, which is also how many
+  /// chunks of one decrypt slice run at once. <= 0 means hardware
+  /// concurrency - 1, the whole machine (see docs/TUNING.md, "Distributed
+  /// execution").
   int num_threads = 2;
 };
 

@@ -7,7 +7,7 @@
 namespace sjoin {
 
 ThreadPool::ThreadPool(int num_workers) {
-  if (num_workers < 0) {
+  if (num_workers <= 0) {
     num_workers = static_cast<int>(std::thread::hardware_concurrency()) - 1;
   }
   // At least one background worker: a 1-CPU host would otherwise create an

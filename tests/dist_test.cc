@@ -31,6 +31,10 @@
 //    to the table's row count, and a worker that silently lost rows
 //    only costs the coordinator local fallback decrypts -- never a
 //    wrong result.
+//  - Worker-side chunking: a worker splits one slice over its own pool;
+//    slices of 0 to 37 held rows, with presence holes on chunk
+//    boundaries, stay byte-identical on 1, 2 and 3 worker threads, cold
+//    and warm.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -99,6 +103,8 @@ std::vector<Bytes> ResultBytes(const EncryptedSeriesResult& r) {
 /// TcpServer (the backing engine is required by the transport but never
 /// receives a request -- every frame routes to the shard handler).
 struct WorkerProc {
+  explicit WorkerProc(ShardWorkerOptions opts = {}) : handler(opts) {}
+
   EncryptedServer engine;
   ShardWorker handler;
   std::optional<TcpServer> server;
@@ -162,8 +168,8 @@ struct DistEnv {
     return &tables.back();
   }
 
-  std::string AddWorker() {
-    workers.emplace_back();
+  std::string AddWorker(ShardWorkerOptions opts = {}) {
+    workers.emplace_back(opts);
     uint16_t port = workers.back().Start();
     std::string id = "w" + std::to_string(workers.size());
     SJOIN_CHECK(coord->AddWorker(id, "127.0.0.1", port).ok());
@@ -196,6 +202,28 @@ void ExpectMatchesSingleNode(DistEnv& env, const QuerySeriesTokens& series) {
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   ASSERT_TRUE(local.ok()) << local.status().ToString();
   EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
+}
+
+/// Deletes rows on one worker behind the coordinator's back (a mutation
+/// slice the coordinator never sent), so the worker must answer have[i] = 0
+/// for them. Returns the worker's acknowledgement.
+Result<ShardAck> RogueDelete(WorkerProc& worker, const std::string& table,
+                             std::vector<StableRowId> ids) {
+  auto direct = TcpClient::Connect("127.0.0.1", worker.server->port());
+  SJOIN_RETURN_IF_ERROR(direct.status());
+  ShardMutation rogue;
+  rogue.table = table;
+  rogue.new_generation = 100;
+  rogue.deletes = std::move(ids);
+  SJOIN_RETURN_IF_ERROR(direct->SendFrame(FrameType::kShardMutation,
+                                          SerializeShardMutation(rogue)));
+  auto ack = direct->ReadFrame();
+  SJOIN_RETURN_IF_ERROR(ack.status());
+  if (ack->type != FrameType::kShardAck) {
+    return Status::Internal("rogue delete answered with frame type " +
+                            std::to_string(static_cast<int>(ack->type)));
+  }
+  return DeserializeShardAck(ack->payload);
 }
 
 /// Rows per placement shard of one table, from the coordinator's
@@ -427,25 +455,11 @@ TEST(DistByteIdentity, WorkerMissingRowsFallBackToLocalDecrypts) {
   const EncryptedTable* y = env.Upload("Y", 8, 3);
   env.AddWorker();
 
-  // Delete two rows behind the coordinator's back (a mutation slice the
-  // coordinator never sent): the worker must answer have[i] = 0 for them
-  // and the coordinator must fill the holes from its pinned snapshot.
-  auto direct = TcpClient::Connect("127.0.0.1", env.workers[0].server->port());
-  ASSERT_TRUE(direct.ok());
-  ShardMutation rogue;
-  rogue.table = "X";
-  rogue.new_generation = 100;
-  rogue.deletes = {0, 1};
-  ASSERT_TRUE(direct
-                  ->SendFrame(FrameType::kShardMutation,
-                              SerializeShardMutation(rogue))
-                  .ok());
-  auto ack = direct->ReadFrame();
+  // Delete two rows behind the coordinator's back: the coordinator must
+  // fill the holes from its pinned snapshot.
+  auto ack = RogueDelete(env.workers[0], "X", {0, 1});
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-  ASSERT_EQ(ack->type, FrameType::kShardAck);
-  auto decoded = DeserializeShardAck(ack->payload);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->rows_held, 8u);
+  EXPECT_EQ(ack->rows_held, 8u);
 
   QuerySeriesTokens series = env.Series({KeySpec("X", "Y")}, {x, y});
   auto dist = env.coord->ExecuteSeries(series);
@@ -461,6 +475,83 @@ TEST(DistByteIdentity, WorkerMissingRowsFallBackToLocalDecrypts) {
     total += s.decrypts_performed;
   }
   EXPECT_EQ(env.workers[0].handler.Health().digests_computed + 2, total);
+}
+
+// --- Worker-side chunking ------------------------------------------------------
+
+/// A table whose "grp" column puts contiguous id ranges of the given sizes
+/// into groups 0, 1, ...: a side selecting one group requests exactly that
+/// id range, in ascending order.
+Table MakeGrouped(const std::string& name, const std::vector<size_t>& sizes) {
+  Table t(name, Schema({{"k", ValueKind::kInt64}, {"grp", ValueKind::kInt64}}));
+  int64_t row = 0;
+  for (size_t g = 0; g < sizes.size(); ++g) {
+    for (size_t i = 0; i < sizes[g]; ++i, ++row) {
+      SJOIN_CHECK(t.AppendRow({row % 5, static_cast<int64_t>(g)}).ok());
+    }
+  }
+  return t;
+}
+
+TEST(DistChunking, MultiChunkSlicesMatchSingleNode) {
+  // A worker splits the rows it holds of one slice into contiguous chunks
+  // of min(8, ceil(held / pool threads)) rows on its pool. K = 1 ships a
+  // unit's whole selection as one RPC, so the groups are the slice
+  // lengths: held 0 (A, rogue-deleted), 1 (B), one batch (C), one batch +
+  // 1 (D), and unfiltered 37 of 40 rows in chunks of 8, 8, 8, 8, 5 whose
+  // first two boundaries fall exactly on the holes at ids 9 and 18. E
+  // fills the table. Every query joins one slice against B.
+  constexpr size_t kBatch = SecureJoin::kDefaultDecryptBatchRows;
+  enum : int64_t { kAll = -1, kA, kE, kB, kC, kD };
+  // ids: A = 0, E = 1..21, B = 22, C = 23..30, D = 31..39.
+  const std::vector<size_t> sizes = {1, 21, 1, kBatch, kBatch + 1};
+  const std::vector<StableRowId> holes = {0, 9, 18};
+  const uint64_t holes_per_pass = 1 + holes.size();  // A's side + unfiltered
+  std::vector<JoinQuerySpec> specs;
+  for (int64_t g : {kA, kC, kD, kAll}) {
+    JoinQuerySpec q = KeySpec("X", "X");
+    if (g != kAll) q.selection_a.predicates = {{"grp", {Value(g)}}};
+    q.selection_b.predicates = {{"grp", {Value(int64_t{kB})}}};
+    specs.push_back(q);
+  }
+
+  for (int threads : {1, 2, 3}) {
+    SCOPED_TRACE("worker threads " + std::to_string(threads));
+    DistEnv env(/*num_shards=*/1);
+    env.AddWorker({.num_threads = threads});
+    auto enc = env.client.EncryptTable(MakeGrouped("X", sizes), "k");
+    ASSERT_TRUE(enc.ok()) << enc.status().ToString();
+    const EncryptedTable* x = env.Store(std::move(*enc));
+    auto ack = RogueDelete(env.workers[0], "X", holes);
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    ASSERT_EQ(ack->rows_held, 40u - holes.size());
+
+    QuerySeriesTokens series = env.Series(specs, {x});
+    auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    for (const std::string pass : {"cold", "warm"}) {
+      SCOPED_TRACE(pass + " pass");
+      const uint64_t before = env.workers[0].handler.Health().digests_computed;
+      // A worker answer whose digests or counters disagree with its
+      // presence bitmap fails the series (CheckShardResponse: Internal).
+      auto dist = env.coord->ExecuteSeries(series);
+      ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+      EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
+      uint64_t delegated = 0;
+      for (const ShardExecStats& s : dist->stats.shard_stats) {
+        delegated += s.decrypts_performed;
+      }
+      const uint64_t computed =
+          env.workers[0].handler.Health().digests_computed - before;
+      EXPECT_EQ(computed + holes_per_pass, delegated);
+      if (pass == "warm") EXPECT_EQ(dist->stats.prepared_rows_built, 0u);
+    }
+    // One RPC per (query, side) and pass; none failed over.
+    Coordinator::Stats stats = env.coord->stats();
+    EXPECT_EQ(stats.decrypt_rpcs, 2 * 2 * specs.size());
+    EXPECT_EQ(stats.decrypt_rpc_failures, 0u);
+    EXPECT_EQ(stats.local_fallback_units, 0u);
+  }
 }
 
 // --- Fault injection -----------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "db/client.h"
@@ -37,6 +38,15 @@ TEST(ThreadPoolTest, ParallelismClampedToWorkSize) {
                    [&](size_t i) { counts[i].fetch_add(1); });
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
   pool.ParallelFor(0, 4, [&](size_t) { FAIL() << "n = 0 must not run"; });
+}
+
+TEST(ThreadPoolTest, ZeroWorkersMeansHardwareConcurrency) {
+  // Regression: only negative sizes used to mean "hardware concurrency - 1",
+  // so ThreadPool(0) -- and ShardWorkerOptions{.num_threads = 0} -- got a
+  // single background thread.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  EXPECT_EQ(ThreadPool(0).concurrency(), std::max(hw - 1, 1) + 1);
+  EXPECT_EQ(ThreadPool(-1).concurrency(), std::max(hw - 1, 1) + 1);
 }
 
 TEST(ThreadPoolTest, SubmitRunsEnqueuedTasks) {
