@@ -11,7 +11,7 @@
 // shard on both workers: the fault-tolerant layout), a Coordinator with W
 // in-process ShardWorkers behind real loopback TcpServers runs the same
 // series in a loop: planning and merge stay local, the batched decrypt
-// slices travel the framed wire-v7 protocol to the owning workers.
+// slices travel the framed wire protocol to the owning workers.
 // Replication costs upload-time copies, not decrypt-time work -- each
 // slice still goes to one (primary) replica, so R=2 throughput should
 // track W=2 R=1 closely.

@@ -5,7 +5,7 @@
 // cold row costs a full Miller loop. The Section 6.5 comparison schemes
 // (deterministic join tags, CryptDB's RND-wrapped onion over them) are
 // re-homed here as fast low-security backends that join on the per-row
-// BackendRowEncoding the client may have uploaded (wire v6). They answer
+// BackendRowEncoding the client may have uploaded. They answer
 // the SAME queries over the SAME SSE selections and produce digests the
 // server joins through the SAME SJ.Match path, so their results are
 // byte-identical to the pairing pipeline's -- only the leakage differs:

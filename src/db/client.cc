@@ -28,9 +28,9 @@ EncryptedClient::EncryptedClient(const ClientOptions& options)
       payload_key_(DeriveSubKey(&rng_)),
       sse_key_(DeriveSubKey(&rng_)) {
   // Fast-backend keys are drawn only on request, AFTER every key a
-  // default client derives: a client with both options off consumes the
-  // identical rng stream as a pre-v6 client and produces byte-identical
-  // uploads.
+  // default client derives: a default client draws no randomness for
+  // them, and a seed yields the same master, payload and SSE keys either
+  // way.
   if (options.upload_det_encoding || options.upload_onion_encoding) {
     det_join_key_ = DeriveSubKey(&rng_);
     onion_key_ = DeriveSubKey(&rng_);
@@ -116,7 +116,7 @@ EncryptedRow EncryptedClient::EncryptRowFor(const std::string& table_name,
     table.At(r, c).SerializeTo(&payload);
   }
   row.payload = payload_key_.Encrypt(payload, &rng_);
-  // Optional fast-backend encodings (wire v6), appended after every
+  // Optional fast-backend encodings, appended after every
   // pre-existing draw so the SJ/SSE/AEAD material above is byte-identical
   // whether or not encodings ride along. The onion wraps the SAME det tag
   // -- stripping its RND layer must land on the DET pattern the det
@@ -167,7 +167,6 @@ Result<TableMutation> EncryptedClient::PrepareInsert(const EncryptedTable& enc,
 
   TableMutation m;
   m.table = enc.name;
-  m.session_id = session_id_;
   m.inserts.reserve(rows.NumRows());
   for (size_t r = 0; r < rows.NumRows(); ++r) {
     m.inserts.push_back(EncryptRowFor(enc.name, rows, r, *join_idx));
@@ -183,7 +182,6 @@ Result<TableMutation> EncryptedClient::PrepareDelete(
   }
   TableMutation m;
   m.table = table;
-  m.session_id = session_id_;
   m.deletes = std::move(row_ids);
   return m;
 }
@@ -311,7 +309,6 @@ Result<QuerySeriesTokens> EncryptedClient::PrepareSeries(
     const std::vector<JoinQuerySpec>& queries,
     const std::vector<const EncryptedTable*>& tables) {
   QuerySeriesTokens out;
-  out.session_id = session_id_;
   StampBackendPolicy(&out);
   out.queries.reserve(queries.size());
   for (const JoinQuerySpec& spec : queries) {
@@ -323,15 +320,6 @@ Result<QuerySeriesTokens> EncryptedClient::PrepareSeries(
     SJOIN_RETURN_IF_ERROR(tokens.status());
     out.queries.push_back(std::move(*tokens));
   }
-  return out;
-}
-
-Result<QuerySeriesTokens> EncryptedClient::PrepareSeriesSharded(
-    const std::vector<JoinQuerySpec>& queries,
-    const std::vector<const EncryptedTable*>& tables, size_t num_shards) {
-  auto out = PrepareSeries(queries, tables);
-  SJOIN_RETURN_IF_ERROR(out.status());
-  out->requested_shards = static_cast<uint32_t>(num_shards);
   return out;
 }
 
@@ -362,7 +350,6 @@ Result<QuerySeriesTokens> EncryptedClient::PrepareChain(
   };
 
   QuerySeriesTokens out;
-  out.session_id = session_id_;
   StampBackendPolicy(&out);
   out.queries.reserve(chain.size());
   for (const JoinQuerySpec& spec : chain) {

@@ -26,11 +26,10 @@ struct ClientOptions {
   /// WithSystemEntropy for production randomness.
   uint64_t rng_seed = 0;
   /// Attach a deterministic join tag (16-byte HMAC of the join value) to
-  /// every uploaded row (wire v6). Lets the server's AdaptiveExecutor
-  /// serve queries from the `det_join` fast backend -- at DET leakage: the
-  /// at-rest equality pattern of the join column is visible to the server
-  /// the moment the upload lands. Off by default; uploads from clients
-  /// that leave it off are byte-identical to pre-v6 uploads.
+  /// every uploaded row. Lets the server's AdaptiveExecutor serve queries
+  /// from the `det_join` fast backend -- at DET leakage: the at-rest
+  /// equality pattern of the join column is visible to the server the
+  /// moment the upload lands. Off by default.
   bool upload_det_encoding = false;
   /// Attach a CryptDB-style onion encoding: the det tag wrapped in a
   /// probabilistic RND layer (fresh nonce per row). Leaks nothing at rest;
@@ -45,19 +44,10 @@ class EncryptedClient {
   explicit EncryptedClient(const ClientOptions& options);
   static EncryptedClient WithSystemEntropy(ClientOptions options);
 
-  /// Binds this client to a server session (EncryptedServer::OpenSession).
-  /// Every later PrepareSeries*/PrepareChain/PrepareInsert/PrepareDelete
-  /// batch is stamped with the id (wire v5), which the server's
-  /// RequestScheduler uses for per-session FIFO ordering and admission
-  /// control. 0 (the default) is the implicit always-open session; no
-  /// cryptographic material depends on the binding.
-  void BindSession(uint64_t session_id) { session_id_ = session_id; }
-  uint64_t session_id() const { return session_id_; }
-
   /// Series execution policy: which server-side backends later Prepare*
-  /// batches permit (wire v6). The mask is a client-side ceiling -- the
-  /// server intersects it with its own ServerExecOptions::allowed_backends
-  /// and its leakage budgets before dispatching anything -- and kSjoin is
+  /// batches permit. The mask is a client-side ceiling -- the server
+  /// intersects it with its own ServerExecOptions::allowed_backends and
+  /// its leakage budgets before dispatching anything -- and kSjoin is
   /// always retained (the executor's fallback must stay legal). Permitting
   /// kCryptDbOnion releases the onion key with each series, which lets
   /// the server strip the RND layer of every table those queries touch:
@@ -75,9 +65,9 @@ class EncryptedClient {
   Result<EncryptedTable> EncryptTable(const Table& table,
                                       const std::string& join_column);
 
-  /// Client-side delta preparation (wire v4): encrypts `rows` (a plaintext
-  /// table whose schema must equal the encrypted table's, column for
-  /// column) into a mutation batch appending them to `enc`. The rows go
+  /// Client-side delta preparation: encrypts `rows` (a plaintext table
+  /// whose schema must equal the encrypted table's, column for column)
+  /// into a mutation batch appending them to `enc`. The rows go
   /// through the exact SJ.Enc / SSE-tag / AEAD pipeline of EncryptTable
   /// under the same keys, so the server cannot tell an inserted row from
   /// an originally uploaded one -- and every existing token keeps working
@@ -90,7 +80,7 @@ class EncryptedClient {
   /// Mutation batch deleting `row_ids` (stable ids: 0..n-1 for the
   /// original upload, MutationResult::inserted_ids afterwards) from
   /// `table`. No cryptographic material is involved -- deletion is pure
-  /// bookkeeping -- but the batch rides the same wire v4 message, and the
+  /// bookkeeping -- but the batch rides the same mutation message, and the
   /// two halves can be merged (one TableMutation holds both lists;
   /// deletes apply before inserts).
   Result<TableMutation> PrepareDelete(const std::string& table,
@@ -110,18 +100,6 @@ class EncryptedClient {
   Result<QuerySeriesTokens> PrepareSeries(
       const std::vector<JoinQuerySpec>& queries,
       const std::vector<const EncryptedTable*>& tables);
-
-  /// PrepareSeries plus shard routing metadata: tags the batch with the
-  /// shard count the server should execute it under
-  /// (EncryptedServer::ExecuteJoinSeriesSharded). Tokens are
-  /// shard-agnostic -- SJ.Dec of a row yields the same digest in every
-  /// shard -- so no cryptographic material changes; the tag only rides
-  /// the wire (v3) as QuerySeriesTokens::requested_shards. The server
-  /// clamps it to the largest referenced table. See docs/TUNING.md for
-  /// choosing K.
-  Result<QuerySeriesTokens> PrepareSeriesSharded(
-      const std::vector<JoinQuerySpec>& queries,
-      const std::vector<const EncryptedTable*>& tables, size_t num_shards);
 
   /// Multi-way chain T1 JOIN T2 JOIN ... JOIN Tk expressed as k-1 pairwise
   /// queries sharing ONE query key: the token of a table shared by two
@@ -183,13 +161,12 @@ class EncryptedClient {
   AeadKey payload_key_;
   SseKey sse_key_;
   /// Fast-backend key material, derived only when an encoding upload is
-  /// requested -- a default-configured client draws exactly the same rng
-  /// stream as a pre-v6 one, keeping its uploads byte-identical.
+  /// requested, after every other key -- a default-configured client
+  /// draws no randomness for it.
   std::array<uint8_t, 32> det_join_key_{};
   std::array<uint8_t, 32> onion_key_{};
   bool backend_keys_derived_ = false;
   uint32_t allowed_backends_ = kBackendMaskSjoinOnly;
-  uint64_t session_id_ = 0;  // stamped into series/mutation batches
 };
 
 }  // namespace sjoin

@@ -57,7 +57,7 @@ constexpr const char* BackendName(BackendKind k) {
 using DetTag = std::array<uint8_t, 16>;
 
 /// Optional per-row encodings for the fast backends, produced at
-/// encryption time by EncryptedClient::EncryptRowFor (wire v6). Both are
+/// encryption time by EncryptedClient::EncryptRowFor. Both are
 /// strictly opt-in:
 ///   det    -- the join value's DetTag in the clear. Visible at rest:
 ///             uploading it is the client declaring the table
@@ -82,7 +82,7 @@ struct BackendRowEncoding {
 struct EncryptedRow {
   SjRowCiphertext sj;
   SseRowTags sse;  // tags aligned with EncryptedTable::attr_columns
-  BackendRowEncoding enc;  // fast-backend encodings (wire v6; may be absent)
+  BackendRowEncoding enc;  // fast-backend encodings (may be absent)
   AeadCiphertext payload;
 };
 
@@ -113,26 +113,21 @@ struct JoinQueryTokens {
 /// one shared thread pool and deduplicates per-(table, token) decryptions.
 struct QuerySeriesTokens {
   std::vector<JoinQueryTokens> queries;
-  /// Routing metadata only (wire v3): the shard count the client asks the
-  /// server to execute under. Tokens are shard-agnostic -- SJ.Dec of a row
-  /// is identical in every shard -- so this carries no cryptographic
-  /// material and 0 simply defers to ServerExecOptions::num_shards.
-  uint32_t requested_shards = 0;
-  /// Session issuing the batch (wire v5; 0 = the implicit default
-  /// session). Routing metadata for the server's RequestScheduler --
-  /// per-session FIFO and admission control key on it; the crypto is
-  /// session-agnostic. Pre-v5 payloads decode with 0.
+  /// Session the batch executes under (0 = the implicit default session).
+  /// Scheduler routing metadata for EncryptedServer::Submit* -- per-session
+  /// FIFO and admission control key on it; the crypto is session-agnostic.
+  /// Not on the wire: TcpServer sets it from the connection's session.
   uint64_t session_id = 0;
-  /// Client dispatch policy (wire v6): the backends the adaptive executor
-  /// may consider for this batch. The default is the pairing path alone,
-  /// so pre-v6 payloads (and clients that never opt in) behave exactly as
-  /// before. The server intersects this with its own
-  /// ServerExecOptions::allowed_backends before dispatching.
+  /// Client dispatch policy: the backends the adaptive executor may
+  /// consider for this batch. The default is the pairing path alone, so a
+  /// client that never opts in gets exactly the paper's scheme. The server
+  /// intersects this with its own ServerExecOptions::allowed_backends
+  /// before dispatching.
   uint32_t allowed_backends = kBackendMaskSjoinOnly;
-  /// CryptDB-style key release (wire v6): when the policy includes the
-  /// onion backend the client ships the onion key with the series,
-  /// letting the server strip the RND layer of the rows it joins. Absent
-  /// otherwise (has_onion_key = false, key zeroed).
+  /// CryptDB-style key release: when the policy includes the onion
+  /// backend the client ships the onion key with the series, letting the
+  /// server strip the RND layer of the rows it joins. Absent otherwise
+  /// (has_onion_key = false, key zeroed).
   bool has_onion_key = false;
   std::array<uint8_t, 32> onion_key{};
 };
@@ -158,7 +153,7 @@ struct EncryptedJoinResult {
   JoinExecStats stats;
 };
 
-/// One shard's share of a sharded series execution (wire v3). The fields
+/// One shard's share of a sharded series execution. The fields
 /// mirror the SJ.Dec counters of SeriesExecStats; the series-level totals
 /// are exactly the per-shard sums (asserted by tests/shard_test.cc):
 ///
@@ -208,24 +203,22 @@ struct SeriesExecStats {
   size_t prepared_pairings = 0;    // SJ.Dec through a prepared row
   size_t prepared_rows_built = 0;  // prepared rows built by this call
   size_t prepared_cache_hits = 0;  // decrypts served from a warm prepared row
-  /// Sharded execution only (wire v3): the effective shard count after
-  /// clamping to the largest referenced table (0 on the unsharded path),
-  /// and the per-shard breakdown, indexed by shard. The totals above are
-  /// the merged (summed) view of shard_stats.
+  /// Sharded and delegated execution only: the effective shard count
+  /// (0 on the unsharded path) and the per-shard breakdown, indexed by
+  /// shard. The totals above are the merged (summed) view of shard_stats.
+  /// Host-local like the timing fields -- not serialized.
   size_t shards = 0;
   std::vector<ShardExecStats> shard_stats;
-  /// Adaptive-executor decision trail (wire v6): how many queries of the
-  /// batch each backend served, and how many revealed pairs the fast
-  /// dispatches charged against the budget ledger. Pre-v6 payloads decode
-  /// with all queries on the sjoin path and zero charge, which is exactly
-  /// what those servers did.
+  /// Adaptive-executor decision trail: how many queries of the batch each
+  /// backend served, and how many revealed pairs the fast dispatches
+  /// charged against the budget ledger.
   size_t backend_sjoin_queries = 0;
   size_t backend_det_queries = 0;
   size_t backend_onion_queries = 0;
   uint64_t leakage_charged = 0;
-  /// Budget ledger snapshot for every table the batch referenced (wire
-  /// v6). limit is LeakageTracker::kUnlimitedBudget when the table has no
-  /// budget; remaining is limit - spent, saturated at 0.
+  /// Budget ledger snapshot for every table the batch referenced. limit is
+  /// LeakageTracker::kUnlimitedBudget when the table has no budget;
+  /// remaining is limit - spent, saturated at 0.
   struct TableBudget {
     std::string table;
     uint64_t limit = 0;

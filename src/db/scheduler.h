@@ -57,7 +57,7 @@ class RequestScheduler {
  public:
   /// What a request does to shared state; drives the serialization rule.
   enum class Kind {
-    kRead,      // series / sharded series: snapshot reads, always parallel
+    kRead,      // series: snapshot reads, always parallel
     kMutation,  // ApplyMutation: serialized per target table
   };
 

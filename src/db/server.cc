@@ -242,8 +242,7 @@ EncryptedJoinResult EncryptedServer::MatchAndAccount(
     const EncryptedTable& a, const EncryptedTable& b,
     const std::vector<StableRowId>& ids_a, const std::vector<StableRowId>& ids_b,
     const std::vector<size_t>& sel_a, const std::vector<size_t>& sel_b,
-    const std::vector<Digest32>& da, const std::vector<Digest32>& db,
-    const ServerExecOptions& opts) {
+    const std::vector<Digest32>& da, const std::vector<Digest32>& db) {
   EncryptedJoinResult out;
   out.stats.rows_total_a = a.rows.size();
   out.stats.rows_total_b = b.rows.size();
@@ -252,9 +251,7 @@ EncryptedJoinResult EncryptedServer::MatchAndAccount(
 
   // SJ.Match: join on digests.
   Stopwatch match_watch;
-  std::vector<JoinedRowPair> pairs = opts.use_hash_join
-                                         ? HashJoinDigests(da, db)
-                                         : NestedLoopJoinDigests(da, db);
+  std::vector<JoinedRowPair> pairs = HashJoinDigests(da, db);
   out.stats.match_seconds = match_watch.Seconds();
   out.stats.result_pairs = pairs.size();
 
@@ -444,7 +441,6 @@ Status EncryptedServer::BuildSeriesPlan(const QuerySeriesTokens& series,
 }
 
 void EncryptedServer::FinishSeries(SeriesPlanState& state,
-                                   const ServerExecOptions& opts,
                                    EncryptedSeriesResult* out) {
   // 4. Per-query SJ.Match, leakage accounting and payload assembly, in
   // series order (leakage order matters for reproducibility, not for the
@@ -472,7 +468,7 @@ void EncryptedServer::FinishSeries(SeriesPlanState& state,
         fast ? std::move(plan.fast_db) : gather(*plan.unit_b, plan.sel_b);
     out->results.push_back(MatchAndAccount(*plan.a, *plan.b, *plan.ids_a,
                                            *plan.ids_b, plan.sel_a,
-                                           plan.sel_b, da, db, opts));
+                                           plan.sel_b, da, db));
   }
   out->stats.match_seconds = match_watch.Seconds();
 
@@ -514,7 +510,7 @@ void EncryptedServer::FinishSeries(SeriesPlanState& state,
     out->pinned_generations.emplace_back(name, snap.generation);
   }
 
-  // The budget-ledger receipt (wire v6): where every referenced table's
+  // The budget-ledger receipt: where every referenced table's
   // leakage budget stands after this batch. A concurrent session may
   // spend between our charges and this read, so the snapshot is
   // best-effort monotone -- spent can only be >= what this batch saw.
@@ -597,7 +593,7 @@ Result<EncryptedSeriesResult> EncryptedServer::RunSeries(
   }
   s.decrypt_seconds = decrypt_watch.Seconds();
 
-  FinishSeries(state, opts, &out);
+  FinishSeries(state, &out);
   return out;
 }
 
@@ -630,17 +626,13 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeries(
 
 Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
     const QuerySeriesTokens& series, const ServerExecOptions& opts) {
-  // Effective K: the client's routing request (wire v3) wins over the
-  // server option; both clamp to the largest referenced table, so no
-  // empty shard gets a pool task. Each table routes under its own clamp
-  // (smaller tables land on the low shard ids). An empty series has no
-  // shards; any other has at least one (there is still a merge to
+  // Effective K: the server option, clamped to the largest referenced
+  // table, so no empty shard gets a pool task. Each table routes under its
+  // own clamp (smaller tables land on the low shard ids). An empty series
+  // has no shards; any other has at least one (there is still a merge to
   // report). Routing is a pure function of the row's ciphertext, so the
   // cache -- keyed by stable row id -- is the same one every path uses.
-  const size_t requested =
-      series.requested_shards > 0
-          ? series.requested_shards
-          : static_cast<size_t>(std::max(opts.num_shards, 1));
+  const size_t requested = static_cast<size_t>(std::max(opts.num_shards, 1));
   auto place = [&](const SeriesPlanState& state) {
     size_t max_rows = 1;
     for (const auto& [key, unit] : state.units) {
@@ -728,17 +720,6 @@ void EncryptedServer::SubmitJoinSeriesAsync(
       std::move(done));
 }
 
-void EncryptedServer::SubmitJoinSeriesShardedAsync(
-    QuerySeriesTokens series, ServerExecOptions opts,
-    std::function<void(Result<EncryptedSeriesResult>)> done) {
-  Schedule(
-      scheduler_, RequestScheduler::Kind::kRead, "", std::move(series),
-      [this, opts](const QuerySeriesTokens& s) {
-        return ExecuteJoinSeriesSharded(s, opts);
-      },
-      std::move(done));
-}
-
 void EncryptedServer::SubmitMutationAsync(
     TableMutation mutation, std::function<void(Result<MutationResult>)> done) {
   std::string table = mutation.table;
@@ -753,14 +734,6 @@ std::future<Result<EncryptedSeriesResult>> EncryptedServer::SubmitJoinSeries(
     QuerySeriesTokens series, ServerExecOptions opts) {
   return ToFuture<EncryptedSeriesResult>([&](auto done) {
     SubmitJoinSeriesAsync(std::move(series), opts, std::move(done));
-  });
-}
-
-std::future<Result<EncryptedSeriesResult>>
-EncryptedServer::SubmitJoinSeriesSharded(QuerySeriesTokens series,
-                                         ServerExecOptions opts) {
-  return ToFuture<EncryptedSeriesResult>([&](auto done) {
-    SubmitJoinSeriesShardedAsync(std::move(series), opts, std::move(done));
   });
 }
 

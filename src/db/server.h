@@ -39,19 +39,15 @@ namespace sjoin {
 struct ServerExecOptions {
   /// Threads for the SJ.Dec pass (<= 0: hardware concurrency).
   int num_threads = 1;
-  /// false switches SJ.Match to the O(n^2) nested-loop join (ablation A2).
-  bool use_hash_join = true;
   /// Byte budget for the server's prepared-row cache (the eviction knob;
   /// 0 disables the prepared pipeline for this call). The cache itself is
   /// per-server and persists across calls, so a series against a table a
   /// previous series already touched starts warm -- on every path and at
   /// every shard count.
   size_t prepared_cache_bytes = PreparedRowCache::kDefaultMaxBytes;
-  /// Shard count K for ExecuteJoinSeriesSharded (<= 0: 1). Overridden by
-  /// QuerySeriesTokens::requested_shards when the client set one; either
-  /// source is clamped to the largest referenced table (no empty shard
-  /// ever gets a pool task) and to ShardedTable::kMaxShards (the request
-  /// is untrusted wire input). See docs/TUNING.md for sizing.
+  /// Shard count K for ExecuteJoinSeriesSharded (<= 0: 1), clamped to the
+  /// largest referenced table (no empty shard ever gets a pool task) and
+  /// to ShardedTable::kMaxShards. See docs/TUNING.md for sizing.
   int num_shards = 1;
   /// Server-side dispatch policy for the adaptive executor: the backends
   /// this server is willing to run, intersected with the client's
@@ -77,7 +73,7 @@ class EncryptedServer {
   /// stable ids 0..n-1 and the table starts at generation 1.
   Status StoreTable(EncryptedTable table);
 
-  /// Applies one client-prepared mutation batch (wire v4): deletes by
+  /// Applies one client-prepared mutation batch: deletes by
   /// stable id (stable-order compaction), then inserted rows appended.
   /// Cache maintenance is row-granular -- exactly the deleted rows'
   /// prepared entries are dropped from the prepared-row cache. Leakage
@@ -127,8 +123,8 @@ class EncryptedServer {
   /// original row index before SJ.Match, which makes the results
   /// bit-identical to the unsharded path (asserted by tests/shard_test.cc
   /// and tests/series_test.cc); only the stats gain a per-shard breakdown
-  /// (SeriesExecStats::shards / shard_stats, wire v3). Reads the same
-  /// generation-consistent snapshots as the unsharded path.
+  /// (SeriesExecStats::shards / shard_stats, in process only). Reads the
+  /// same generation-consistent snapshots as the unsharded path.
   Result<EncryptedSeriesResult> ExecuteJoinSeriesSharded(
       const QuerySeriesTokens& series, const ServerExecOptions& opts = {});
 
@@ -161,10 +157,11 @@ class EncryptedServer {
   // --- Concurrent session layer -------------------------------------------
   //
   // Submit* enqueue a request under the session id carried by the message
-  // (wire v5; 0 = the implicit default session, always open) and return a
-  // future that resolves when the scheduler has executed it. Admission
-  // failures (unknown/closed session, per-session queue full) resolve the
-  // future immediately with the error. The scheduler guarantees FIFO
+  // (0 = the implicit default session, always open; TcpServer sets it from
+  // the connection) and return a future that resolves when the scheduler
+  // has executed it. Admission failures (unknown/closed session,
+  // per-session queue full) resolve the future immediately with the
+  // error. The scheduler guarantees FIFO
   // execution within a session, serializes mutations per table, caps
   // global in-flight requests, and round-robins across sessions --
   // see db/scheduler.h.
@@ -176,8 +173,6 @@ class EncryptedServer {
   size_t open_sessions() const { return sessions_.open_count(); }
 
   std::future<Result<EncryptedSeriesResult>> SubmitJoinSeries(
-      QuerySeriesTokens series, ServerExecOptions opts = {});
-  std::future<Result<EncryptedSeriesResult>> SubmitJoinSeriesSharded(
       QuerySeriesTokens series, ServerExecOptions opts = {});
   std::future<Result<MutationResult>> SubmitMutation(TableMutation mutation);
 
@@ -192,9 +187,6 @@ class EncryptedServer {
   // tolerate being the last reference to its captures (the connection may
   // be gone by completion time).
   void SubmitJoinSeriesAsync(
-      QuerySeriesTokens series, ServerExecOptions opts,
-      std::function<void(Result<EncryptedSeriesResult>)> done);
-  void SubmitJoinSeriesShardedAsync(
       QuerySeriesTokens series, ServerExecOptions opts,
       std::function<void(Result<EncryptedSeriesResult>)> done);
   void SubmitMutationAsync(TableMutation mutation,
@@ -311,8 +303,7 @@ class EncryptedServer {
                                       const std::vector<size_t>& sel_a,
                                       const std::vector<size_t>& sel_b,
                                       const std::vector<Digest32>& da,
-                                      const std::vector<Digest32>& db,
-                                      const ServerExecOptions& opts);
+                                      const std::vector<Digest32>& db);
 
   /// Steps shared by every series path: snapshot resolution
   /// (all-or-nothing, one generation per table for the whole batch), SSE
@@ -326,8 +317,7 @@ class EncryptedServer {
   /// Steps shared by every series path after the digests exist: per-query
   /// SJ.Match + leakage + payloads, then the cross-query digest groups,
   /// plus the pinned-generation report.
-  void FinishSeries(SeriesPlanState& state, const ServerExecOptions& opts,
-                    EncryptedSeriesResult* out);
+  void FinishSeries(SeriesPlanState& state, EncryptedSeriesResult* out);
 
   /// The one series executor behind every Execute* entry point:
   /// BuildSeriesPlan, then `place` picks the placement for the pinned

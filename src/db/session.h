@@ -7,10 +7,10 @@
 // adaptive serving layer in PAPERS.md).
 //
 // Sessions carry no cryptographic material: tokens, tables and mutations
-// are session-agnostic, and the session id only rides the wire (v5) as
-// routing metadata. Session 0 is the implicit default session -- always
-// open, never closable -- so single-client callers and pre-v5 peers
-// (whose messages decode with session_id = 0) need no handshake.
+// are session-agnostic, and the session id never rides the wire -- the
+// TCP transport binds one session per connection. Session 0 is the
+// implicit default session -- always open, never closable -- so
+// single-client in-process callers need no handshake.
 #ifndef SJOIN_DB_SESSION_H_
 #define SJOIN_DB_SESSION_H_
 

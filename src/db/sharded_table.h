@@ -27,11 +27,10 @@ class ShardedTable {
  public:
   ShardedTable() = delete;
 
-  /// Hard ceiling on shard counts. The request can arrive over the wire
-  /// (QuerySeriesTokens::requested_shards is untrusted input), so an
-  /// absurd value must clamp instead of allocating absurd stats vectors;
-  /// past a few times the core count more shards only shrink each work
-  /// unit anyway.
+  /// Hard ceiling on shard counts: an absurd ServerExecOptions::num_shards
+  /// or placement width must clamp instead of allocating absurd stats
+  /// vectors; past a few times the core count more shards only shrink
+  /// each work unit anyway.
   static constexpr size_t kMaxShards = 1024;
 
   /// The shard count actually used for a table of `rows` rows when

@@ -62,14 +62,15 @@ namespace sjoin {
 /// whole lifetime (never reused after a delete).
 using StableRowId = uint64_t;
 
-/// Client -> server: one mutation batch against a stored table (wire v4,
-/// SerializeTableMutation). Built by EncryptedClient::PrepareInsert /
+/// Client -> server: one mutation batch against a stored table
+/// (SerializeTableMutation). Built by EncryptedClient::PrepareInsert /
 /// PrepareDelete; the two halves may be merged into one batch.
 struct TableMutation {
   std::string table;
-  /// Session issuing the batch (wire v5; 0 = the implicit default session).
+  /// Session the batch executes under (0 = the implicit default session).
   /// The scheduler uses it for per-session FIFO ordering; the crypto is
-  /// session-agnostic.
+  /// session-agnostic. Not on the wire: TcpServer sets it from the
+  /// connection's session.
   uint64_t session_id = 0;
   /// Optimistic concurrency guard: when nonzero, Apply fails with
   /// FailedPrecondition unless it equals the table's current generation.
@@ -82,8 +83,8 @@ struct TableMutation {
   std::vector<EncryptedRow> inserts;
 };
 
-/// Server -> client: acknowledgement of one applied mutation (wire v4,
-/// SerializeMutationResult).
+/// Server -> client: acknowledgement of one applied mutation
+/// (SerializeMutationResult).
 struct MutationResult {
   /// The table's generation after the batch.
   uint64_t generation = 0;

@@ -5,29 +5,12 @@
 namespace sjoin {
 namespace {
 
-// Format version; bump on layout changes. v2: series-result stats gained
-// the prepared-pipeline counters (pairings computed / prepared, rows
-// built, prepared-cache hits). v3: query series carry the client's shard
-// routing request, series-result stats carry the per-shard breakdown.
-// v4: the table-mutation request/acknowledgement message pair exists; no
-// pre-existing layout changed. v5: query-series and mutation messages
-// carry the issuing session id (trailing u64; scheduler routing metadata
-// only). v6: rows may carry fast-backend encodings (flag byte + optional
-// det tag / onion nonce+wrapped tag), query series carry the client's
-// backend policy mask and optional onion-key release, and series results
-// carry the per-backend dispatch counters plus the leakage-budget ledger
-// snapshot. v7: the distributed-execution message family exists (shard
-// assignment + ack, shard decrypt request/response, routed mutation
-// slice, worker health); no pre-existing layout changed. Readers stay
-// backward compatible down to kMinWireVersion: a v2..v6 payload decodes
-// with the newer fields at their defaults -- session_id 0, no encodings,
-// sjoin-only policy, empty ledger (mutation messages remain the
-// exception: the type is new in v4, so v2/v3 are rejected there, and
-// the v7 distributed messages reject v2..v6 the same way).
-constexpr uint8_t kWireVersion = 7;
-constexpr uint8_t kMinWireVersion = 2;
-constexpr uint8_t kMutationMinVersion = 4;
-constexpr uint8_t kDistMinVersion = 7;
+// Format version, stamped in byte 0 of every message. Every peer
+// (TcpClient, TcpServer, Coordinator, ShardWorker) is built from this
+// tree, so readers accept exactly this version: a layout change bumps it,
+// and a message stamped with any other version is refused with a
+// versioned InvalidArgument before a single field is read.
+constexpr uint8_t kWireVersion = 8;
 
 // Message type tags catch cross-wiring of messages.
 constexpr uint8_t kTagTable = 0x54;           // 'T'
@@ -44,23 +27,21 @@ constexpr uint8_t kTagShardDigests = 0x64;    // 'd'
 constexpr uint8_t kTagShardMutation = 0x58;   // 'X'
 constexpr uint8_t kTagWorkerHealth = 0x48;    // 'H'
 
-/// Validates the version/tag header; returns the (supported) version so
-/// message codecs can branch on layout differences.
-Result<uint8_t> ExpectHeader(WireReader* r, uint8_t tag) {
+/// Validates the version/tag header.
+Status ExpectHeader(WireReader* r, uint8_t tag) {
   auto version = r->U8();
   SJOIN_RETURN_IF_ERROR(version.status());
-  if (*version < kMinWireVersion || *version > kWireVersion) {
+  if (*version != kWireVersion) {
     return Status::InvalidArgument(
         "unsupported wire version " + std::to_string(*version) +
-        " (supported: " + std::to_string(kMinWireVersion) + ".." +
-        std::to_string(kWireVersion) + ")");
+        " (expected " + std::to_string(kWireVersion) + ")");
   }
   auto got = r->U8();
   SJOIN_RETURN_IF_ERROR(got.status());
   if (*got != tag) {
     return Status::InvalidArgument("wrong message type tag");
   }
-  return *version;
+  return Status::OK();
 }
 
 void WriteHeader(WireWriter* w, uint8_t tag) {
@@ -105,14 +86,14 @@ void WriteSseGroups(WireWriter* w, const std::vector<SseTokenGroup>& groups) {
   }
 }
 
-// Backend-encoding flag bits of the v6 row codec.
+// Backend-encoding flag bits of the row codec.
 constexpr uint8_t kRowFlagDet = 0x01;
 constexpr uint8_t kRowFlagOnion = 0x02;
 
-// Row codec shared by the table upload and the mutation insert list.
-// v6 appends a backend-encoding flag byte plus the optional det tag and
-// onion (nonce, wrapped tag); rows without encodings cost one extra zero
-// byte.
+// Row codec shared by the table upload, the mutation insert list and the
+// shard messages. A backend-encoding flag byte follows the payload, then
+// the optional det tag and onion (nonce, wrapped tag); rows without
+// encodings cost one extra zero byte.
 void WriteEncryptedRow(WireWriter* w, const EncryptedRow& row) {
   w->U32(static_cast<uint32_t>(row.sj.c.size()));
   for (const G2Affine& p : row.sj.c) WriteG2Point(w, p);
@@ -130,7 +111,7 @@ void WriteEncryptedRow(WireWriter* w, const EncryptedRow& row) {
   }
 }
 
-Result<EncryptedRow> ReadEncryptedRow(WireReader* r, uint8_t version) {
+Result<EncryptedRow> ReadEncryptedRow(WireReader* r) {
   EncryptedRow row;
   auto dim = r->U32();
   SJOIN_RETURN_IF_ERROR(dim.status());
@@ -150,25 +131,23 @@ Result<EncryptedRow> ReadEncryptedRow(WireReader* r, uint8_t version) {
   auto payload = ReadAead(r);
   SJOIN_RETURN_IF_ERROR(payload.status());
   row.payload = std::move(*payload);
-  if (version >= 6) {
-    auto flags = r->U8();
-    SJOIN_RETURN_IF_ERROR(flags.status());
-    if ((*flags & ~(kRowFlagDet | kRowFlagOnion)) != 0) {
-      return Status::InvalidArgument("unknown row encoding flags");
-    }
-    if ((*flags & kRowFlagDet) != 0) {
-      row.enc.has_det = true;
-      SJOIN_RETURN_IF_ERROR(
-          r->Raw(row.enc.det_tag.data(), row.enc.det_tag.size()));
-    }
-    if ((*flags & kRowFlagOnion) != 0) {
-      row.enc.has_onion = true;
-      SJOIN_RETURN_IF_ERROR(
-          r->Raw(row.enc.onion_nonce.data(), row.enc.onion_nonce.size()));
-      SJOIN_RETURN_IF_ERROR(
-          r->Raw(row.enc.onion_wrapped.data(), row.enc.onion_wrapped.size()));
-    }
-  }  // v2..v5: no encoding block; row.enc stays all-absent.
+  auto flags = r->U8();
+  SJOIN_RETURN_IF_ERROR(flags.status());
+  if ((*flags & ~(kRowFlagDet | kRowFlagOnion)) != 0) {
+    return Status::InvalidArgument("unknown row encoding flags");
+  }
+  if ((*flags & kRowFlagDet) != 0) {
+    row.enc.has_det = true;
+    SJOIN_RETURN_IF_ERROR(
+        r->Raw(row.enc.det_tag.data(), row.enc.det_tag.size()));
+  }
+  if ((*flags & kRowFlagOnion) != 0) {
+    row.enc.has_onion = true;
+    SJOIN_RETURN_IF_ERROR(
+        r->Raw(row.enc.onion_nonce.data(), row.enc.onion_nonce.size()));
+    SJOIN_RETURN_IF_ERROR(
+        r->Raw(row.enc.onion_wrapped.data(), row.enc.onion_wrapped.size()));
+  }
   return row;
 }
 
@@ -339,8 +318,7 @@ Bytes SerializeEncryptedTable(const EncryptedTable& table) {
 
 Result<EncryptedTable> DeserializeEncryptedTable(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagTable);
-  SJOIN_RETURN_IF_ERROR(version.status());
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagTable));
   EncryptedTable t;
   auto name = r.Str();
   SJOIN_RETURN_IF_ERROR(name.status());
@@ -372,7 +350,7 @@ Result<EncryptedTable> DeserializeEncryptedTable(const Bytes& wire) {
   auto nrows = r.U32();
   SJOIN_RETURN_IF_ERROR(nrows.status());
   for (uint32_t i = 0; i < *nrows; ++i) {
-    auto row = ReadEncryptedRow(&r, *version);
+    auto row = ReadEncryptedRow(&r);
     SJOIN_RETURN_IF_ERROR(row.status());
     t.rows.push_back(std::move(*row));
   }
@@ -397,7 +375,7 @@ Bytes SerializeJoinQueryTokens(const JoinQueryTokens& tokens) {
 
 Result<JoinQueryTokens> DeserializeJoinQueryTokens(const Bytes& wire) {
   WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagQuery).status());
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagQuery));
   JoinQueryTokens out;
   auto ta = r.Str();
   SJOIN_RETURN_IF_ERROR(ta.status());
@@ -450,7 +428,7 @@ Bytes SerializeJoinResult(const EncryptedJoinResult& result) {
 
 Result<EncryptedJoinResult> DeserializeJoinResult(const Bytes& wire) {
   WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagResult).status());
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagResult));
   EncryptedJoinResult out;
   auto npairs = r.U32();
   SJOIN_RETURN_IF_ERROR(npairs.status());
@@ -493,10 +471,10 @@ Bytes SerializeQuerySeries(const QuerySeriesTokens& series) {
   for (const JoinQueryTokens& q : series.queries) {
     w.Blob(SerializeJoinQueryTokens(q));
   }
-  w.U32(series.requested_shards);  // v3 shard routing request
-  w.U64(series.session_id);        // v5 session routing metadata
-  // v6 backend policy: the client-side ceiling on server-side dispatch,
-  // plus the onion-key release when the policy permits that backend.
+  // Backend policy: the client-side ceiling on server-side dispatch, plus
+  // the onion-key release when the policy permits that backend. The
+  // session id does not travel: the server executes every request under
+  // the session of the connection it arrived on.
   w.U32(series.allowed_backends);
   w.U8(series.has_onion_key ? 1 : 0);
   if (series.has_onion_key) {
@@ -507,8 +485,7 @@ Bytes SerializeQuerySeries(const QuerySeriesTokens& series) {
 
 Result<QuerySeriesTokens> DeserializeQuerySeries(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagQuerySeries);
-  SJOIN_RETURN_IF_ERROR(version.status());
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagQuerySeries));
   auto count = r.U32();
   SJOIN_RETURN_IF_ERROR(count.status());
   QuerySeriesTokens out;
@@ -521,28 +498,15 @@ Result<QuerySeriesTokens> DeserializeQuerySeries(const Bytes& wire) {
     SJOIN_RETURN_IF_ERROR(q.status());
     out.queries.push_back(std::move(*q));
   }
-  if (*version >= 3) {
-    auto shards = r.U32();
-    SJOIN_RETURN_IF_ERROR(shards.status());
-    out.requested_shards = *shards;
-  }  // v2: no routing field; requested_shards stays 0 (server decides).
-  if (*version >= 5) {
-    auto session = r.U64();
-    SJOIN_RETURN_IF_ERROR(session.status());
-    out.session_id = *session;
-  }  // v2..v4: no session field; session_id stays 0 (default session).
-  if (*version >= 6) {
-    auto mask = r.U32();
-    SJOIN_RETURN_IF_ERROR(mask.status());
-    out.allowed_backends = *mask;
-    auto has_key = r.U8();
-    SJOIN_RETURN_IF_ERROR(has_key.status());
-    out.has_onion_key = (*has_key != 0);
-    if (out.has_onion_key) {
-      SJOIN_RETURN_IF_ERROR(
-          r.Raw(out.onion_key.data(), out.onion_key.size()));
-    }
-  }  // v2..v5: no policy fields; sjoin-only mask, no key release.
+  auto mask = r.U32();
+  SJOIN_RETURN_IF_ERROR(mask.status());
+  out.allowed_backends = *mask;
+  auto has_key = r.U8();
+  SJOIN_RETURN_IF_ERROR(has_key.status());
+  out.has_onion_key = (*has_key != 0);
+  if (out.has_onion_key) {
+    SJOIN_RETURN_IF_ERROR(r.Raw(out.onion_key.data(), out.onion_key.size()));
+  }
   if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes after series");
   return out;
 }
@@ -562,20 +526,9 @@ Bytes SerializeSeriesResult(const EncryptedSeriesResult& result) {
   w.U64(result.stats.prepared_pairings);
   w.U64(result.stats.prepared_rows_built);
   w.U64(result.stats.prepared_cache_hits);
-  // v3: sharded-execution breakdown (0 shards / empty list on the
-  // unsharded path).
-  w.U64(result.stats.shards);
-  w.U32(static_cast<uint32_t>(result.stats.shard_stats.size()));
-  for (const ShardExecStats& s : result.stats.shard_stats) {
-    w.U64(s.decrypts_performed);
-    w.U64(s.pairings_computed);
-    w.U64(s.prepared_pairings);
-    w.U64(s.prepared_rows_built);
-    w.U64(s.prepared_cache_hits);
-  }
-  // v6: the adaptive executor's decision trail -- per-backend query
-  // counts, total pairs charged, and the budget ledger of every table
-  // the batch touched.
+  // The adaptive executor's decision trail -- per-backend query counts,
+  // total pairs charged, and the budget ledger of every table the batch
+  // touched.
   w.U64(result.stats.backend_sjoin_queries);
   w.U64(result.stats.backend_det_queries);
   w.U64(result.stats.backend_onion_queries);
@@ -592,8 +545,7 @@ Bytes SerializeSeriesResult(const EncryptedSeriesResult& result) {
 
 Result<EncryptedSeriesResult> DeserializeSeriesResult(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagSeriesResult);
-  SJOIN_RETURN_IF_ERROR(version.status());
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagSeriesResult));
   auto count = r.U32();
   SJOIN_RETURN_IF_ERROR(count.status());
   EncryptedSeriesResult out;
@@ -619,49 +571,31 @@ Result<EncryptedSeriesResult> DeserializeSeriesResult(const Bytes& wire) {
   SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.prepared_pairings));
   SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.prepared_rows_built));
   SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.prepared_cache_hits));
-  if (*version >= 3) {
-    SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.shards));
-    auto nshards = r.U32();
-    SJOIN_RETURN_IF_ERROR(nshards.status());
-    // No reserve(*nshards): untrusted count, same as the results above.
-    for (uint32_t i = 0; i < *nshards; ++i) {
-      ShardExecStats s;
-      SJOIN_RETURN_IF_ERROR(read_u64(&s.decrypts_performed));
-      SJOIN_RETURN_IF_ERROR(read_u64(&s.pairings_computed));
-      SJOIN_RETURN_IF_ERROR(read_u64(&s.prepared_pairings));
-      SJOIN_RETURN_IF_ERROR(read_u64(&s.prepared_rows_built));
-      SJOIN_RETURN_IF_ERROR(read_u64(&s.prepared_cache_hits));
-      out.stats.shard_stats.push_back(s);
-    }
-  }  // v2: counters end after prepared_cache_hits; shard fields default.
-  if (*version >= 6) {
-    SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.backend_sjoin_queries));
-    SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.backend_det_queries));
-    SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.backend_onion_queries));
-    auto charged = r.U64();
-    SJOIN_RETURN_IF_ERROR(charged.status());
-    out.stats.leakage_charged = *charged;
-    auto nbudgets = r.U32();
-    SJOIN_RETURN_IF_ERROR(nbudgets.status());
-    // No reserve(*nbudgets): untrusted count, same as the results above.
-    for (uint32_t i = 0; i < *nbudgets; ++i) {
-      SeriesExecStats::TableBudget b;
-      auto tname = r.Str();
-      SJOIN_RETURN_IF_ERROR(tname.status());
-      b.table = std::move(*tname);
-      auto limit = r.U64();
-      SJOIN_RETURN_IF_ERROR(limit.status());
-      b.limit = *limit;
-      auto spent = r.U64();
-      SJOIN_RETURN_IF_ERROR(spent.status());
-      b.spent = *spent;
-      auto remaining = r.U64();
-      SJOIN_RETURN_IF_ERROR(remaining.status());
-      b.remaining = *remaining;
-      out.stats.budgets.push_back(std::move(b));
-    }
-  }  // v2..v5: no backend trail; counters and ledger stay at their
-     // zero/empty defaults.
+  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.backend_sjoin_queries));
+  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.backend_det_queries));
+  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.backend_onion_queries));
+  auto charged = r.U64();
+  SJOIN_RETURN_IF_ERROR(charged.status());
+  out.stats.leakage_charged = *charged;
+  auto nbudgets = r.U32();
+  SJOIN_RETURN_IF_ERROR(nbudgets.status());
+  // No reserve(*nbudgets): untrusted count, same as the results above.
+  for (uint32_t i = 0; i < *nbudgets; ++i) {
+    SeriesExecStats::TableBudget b;
+    auto tname = r.Str();
+    SJOIN_RETURN_IF_ERROR(tname.status());
+    b.table = std::move(*tname);
+    auto limit = r.U64();
+    SJOIN_RETURN_IF_ERROR(limit.status());
+    b.limit = *limit;
+    auto spent = r.U64();
+    SJOIN_RETURN_IF_ERROR(spent.status());
+    b.spent = *spent;
+    auto remaining = r.U64();
+    SJOIN_RETURN_IF_ERROR(remaining.status());
+    b.remaining = *remaining;
+    out.stats.budgets.push_back(std::move(b));
+  }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after series result");
   }
@@ -677,22 +611,12 @@ Bytes SerializeTableMutation(const TableMutation& mutation) {
   for (StableRowId id : mutation.deletes) w.U64(id);
   w.U32(static_cast<uint32_t>(mutation.inserts.size()));
   for (const EncryptedRow& row : mutation.inserts) WriteEncryptedRow(&w, row);
-  w.U64(mutation.session_id);  // v5 session routing metadata
   return w.Take();
 }
 
 Result<TableMutation> DeserializeTableMutation(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagMutation);
-  SJOIN_RETURN_IF_ERROR(version.status());
-  if (*version < kMutationMinVersion) {
-    // The message type is new in v4; a lower version here means a
-    // mis-labeled or forged frame, not an old peer.
-    return Status::InvalidArgument(
-        "mutation messages require wire version " +
-        std::to_string(kMutationMinVersion) + ", got " +
-        std::to_string(*version));
-  }
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagMutation));
   TableMutation out;
   auto name = r.Str();
   SJOIN_RETURN_IF_ERROR(name.status());
@@ -711,15 +635,10 @@ Result<TableMutation> DeserializeTableMutation(const Bytes& wire) {
   auto nins = r.U32();
   SJOIN_RETURN_IF_ERROR(nins.status());
   for (uint32_t i = 0; i < *nins; ++i) {
-    auto row = ReadEncryptedRow(&r, *version);
+    auto row = ReadEncryptedRow(&r);
     SJOIN_RETURN_IF_ERROR(row.status());
     out.inserts.push_back(std::move(*row));
   }
-  if (*version >= 5) {
-    auto session = r.U64();
-    SJOIN_RETURN_IF_ERROR(session.status());
-    out.session_id = *session;
-  }  // v4: no session field; session_id stays 0 (default session).
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after mutation");
   }
@@ -737,14 +656,7 @@ Bytes SerializeMutationResult(const MutationResult& result) {
 
 Result<MutationResult> DeserializeMutationResult(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagMutationResult);
-  SJOIN_RETURN_IF_ERROR(version.status());
-  if (*version < kMutationMinVersion) {
-    return Status::InvalidArgument(
-        "mutation messages require wire version " +
-        std::to_string(kMutationMinVersion) + ", got " +
-        std::to_string(*version));
-  }
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagMutationResult));
   MutationResult out;
   auto gen = r.U64();
   SJOIN_RETURN_IF_ERROR(gen.status());
@@ -762,21 +674,9 @@ Result<MutationResult> DeserializeMutationResult(const Bytes& wire) {
   return out;
 }
 
-// --- Distributed-execution messages (v7) ------------------------------------
+// --- Distributed-execution messages ------------------------------------------
 
 namespace {
-
-/// The v7 message family did not exist before; a lower version here means
-/// a mis-labeled or forged frame, not an old peer (mirrors the mutation
-/// min-version check).
-Status CheckDistVersion(uint8_t version) {
-  if (version < kDistMinVersion) {
-    return Status::InvalidArgument(
-        "distributed-execution messages require wire version " +
-        std::to_string(kDistMinVersion) + ", got " + std::to_string(version));
-  }
-  return Status::OK();
-}
 
 void WriteSjToken(WireWriter* w, const SjToken& token) {
   w->U32(static_cast<uint32_t>(token.tk.size()));
@@ -820,7 +720,6 @@ Bytes SerializeShardAssignment(const ShardAssignment& assign) {
   WriteHeader(&w, kTagShardAssign);
   w.Str(assign.table);
   w.U64(assign.generation);
-  w.U32(assign.num_shards);
   w.U32(assign.shard);
   // One count governs both aligned lists: (id, row) pairs interleaved, so
   // a truncated payload can never desynchronize them.
@@ -834,9 +733,7 @@ Bytes SerializeShardAssignment(const ShardAssignment& assign) {
 
 Result<ShardAssignment> DeserializeShardAssignment(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagShardAssign);
-  SJOIN_RETURN_IF_ERROR(version.status());
-  SJOIN_RETURN_IF_ERROR(CheckDistVersion(*version));
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardAssign));
   ShardAssignment out;
   auto name = r.Str();
   SJOIN_RETURN_IF_ERROR(name.status());
@@ -844,9 +741,6 @@ Result<ShardAssignment> DeserializeShardAssignment(const Bytes& wire) {
   auto gen = r.U64();
   SJOIN_RETURN_IF_ERROR(gen.status());
   out.generation = *gen;
-  auto k = r.U32();
-  SJOIN_RETURN_IF_ERROR(k.status());
-  out.num_shards = *k;
   auto shard = r.U32();
   SJOIN_RETURN_IF_ERROR(shard.status());
   out.shard = *shard;
@@ -857,7 +751,7 @@ Result<ShardAssignment> DeserializeShardAssignment(const Bytes& wire) {
     auto id = r.U64();
     SJOIN_RETURN_IF_ERROR(id.status());
     out.row_ids.push_back(*id);
-    auto row = ReadEncryptedRow(&r, *version);
+    auto row = ReadEncryptedRow(&r);
     SJOIN_RETURN_IF_ERROR(row.status());
     out.rows.push_back(std::move(*row));
   }
@@ -877,9 +771,7 @@ Bytes SerializeShardAck(const ShardAck& ack) {
 
 Result<ShardAck> DeserializeShardAck(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagShardAck);
-  SJOIN_RETURN_IF_ERROR(version.status());
-  SJOIN_RETURN_IF_ERROR(CheckDistVersion(*version));
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardAck));
   ShardAck out;
   auto gen = r.U64();
   SJOIN_RETURN_IF_ERROR(gen.status());
@@ -906,9 +798,7 @@ Bytes SerializeShardDecryptRequest(const ShardDecryptRequest& request) {
 
 Result<ShardDecryptRequest> DeserializeShardDecryptRequest(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagShardDecrypt);
-  SJOIN_RETURN_IF_ERROR(version.status());
-  SJOIN_RETURN_IF_ERROR(CheckDistVersion(*version));
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardDecrypt));
   ShardDecryptRequest out;
   auto name = r.Str();
   SJOIN_RETURN_IF_ERROR(name.status());
@@ -949,9 +839,7 @@ Bytes SerializeShardDecryptResponse(const ShardDecryptResponse& response) {
 Result<ShardDecryptResponse> DeserializeShardDecryptResponse(
     const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagShardDigests);
-  SJOIN_RETURN_IF_ERROR(version.status());
-  SJOIN_RETURN_IF_ERROR(CheckDistVersion(*version));
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardDigests));
   ShardDecryptResponse out;
   auto nhave = r.U32();
   SJOIN_RETURN_IF_ERROR(nhave.status());
@@ -1011,9 +899,7 @@ Bytes SerializeShardMutation(const ShardMutation& mutation) {
 
 Result<ShardMutation> DeserializeShardMutation(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagShardMutation);
-  SJOIN_RETURN_IF_ERROR(version.status());
-  SJOIN_RETURN_IF_ERROR(CheckDistVersion(*version));
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardMutation));
   ShardMutation out;
   auto name = r.Str();
   SJOIN_RETURN_IF_ERROR(name.status());
@@ -1033,7 +919,7 @@ Result<ShardMutation> DeserializeShardMutation(const Bytes& wire) {
     auto shard = r.U32();
     SJOIN_RETURN_IF_ERROR(shard.status());
     out.insert_shards.push_back(*shard);
-    auto row = ReadEncryptedRow(&r, *version);
+    auto row = ReadEncryptedRow(&r);
     SJOIN_RETURN_IF_ERROR(row.status());
     out.inserts.push_back(std::move(*row));
   }
@@ -1056,9 +942,7 @@ Bytes SerializeWorkerHealthInfo(const WorkerHealthInfo& info) {
 
 Result<WorkerHealthInfo> DeserializeWorkerHealthInfo(const Bytes& wire) {
   WireReader r(wire);
-  auto version = ExpectHeader(&r, kTagWorkerHealth);
-  SJOIN_RETURN_IF_ERROR(version.status());
-  SJOIN_RETURN_IF_ERROR(CheckDistVersion(*version));
+  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagWorkerHealth));
   WorkerHealthInfo out;
   auto read = [&](uint64_t* dst) -> Status {
     auto v = r.U64();

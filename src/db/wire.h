@@ -4,27 +4,10 @@
 // little-endian framing; elliptic-curve points are serialized uncompressed
 // and validated on-curve when read.
 //
-// Writers emit the current version (v6); readers accept a version window
-// (v2..v6) and decode older payloads with the newer fields at their
-// defaults -- v3 added the shard routing request on query series and the
-// per-shard stats breakdown on series results; v4 added the two mutation
-// messages (TableMutation request, MutationResult acknowledgement) and
-// changed no existing layout, so v2/v3 tables, queries, series and
-// results keep decoding unchanged; v5 appended the issuing session id to
-// query-series and mutation messages (scheduler routing metadata; older
-// payloads decode as the default session 0); v6 appended the optional
-// fast-backend row encodings (det tag / onion), the client's backend
-// policy mask plus onion-key release on query series, and the
-// per-backend dispatch counters plus leakage-budget ledger snapshot on
-// series results (older payloads decode with no encodings, a sjoin-only
-// policy, and an empty ledger). Mutation messages themselves require v4
-// (the type did not exist before); v7 added the distributed-execution
-// messages (shard assignment, shard decrypt request/response, routed
-// mutation slice, worker health) and changed no existing layout, so
-// v2..v6 tables, queries, series, results and mutations keep decoding
-// unchanged -- the new message types require v7 the way mutations
-// require v4. Versions outside the window are rejected with a versioned
-// InvalidArgument error.
+// There is one wire version, v8, in byte 0 of every message. Every peer
+// is built from this tree, so writers emit v8 and readers accept v8 only:
+// any other stamp is rejected with a versioned InvalidArgument before a
+// field is read. A message carries only fields its receiver reads.
 #ifndef SJOIN_DB_WIRE_H_
 #define SJOIN_DB_WIRE_H_
 
@@ -102,23 +85,24 @@ Bytes SerializeQuerySeries(const QuerySeriesTokens& series);
 Result<QuerySeriesTokens> DeserializeQuerySeries(const Bytes& wire);
 
 /// Series response message: per-query results + batch accounting (timing
-/// fields are host-local measurements and do not cross the wire).
+/// fields and the shards / shard_stats breakdown are host-local and do
+/// not cross the wire).
 Bytes SerializeSeriesResult(const EncryptedSeriesResult& result);
 Result<EncryptedSeriesResult> DeserializeSeriesResult(const Bytes& wire);
 
-/// Mutation request message (v4): delete ids + client-encrypted insert
+/// Mutation request message: delete ids + client-encrypted insert
 /// rows for one table (EncryptedClient::PrepareInsert / PrepareDelete ->
 /// EncryptedServer::ApplyMutation). Insert rows use the same row codec as
 /// the table upload, on-curve validation included.
 Bytes SerializeTableMutation(const TableMutation& mutation);
 Result<TableMutation> DeserializeTableMutation(const Bytes& wire);
 
-/// Mutation acknowledgement message (v4): the table's new generation and
+/// Mutation acknowledgement message: the table's new generation and
 /// the stable ids assigned to the inserted rows.
 Bytes SerializeMutationResult(const MutationResult& result);
 Result<MutationResult> DeserializeMutationResult(const Bytes& wire);
 
-// --- Distributed-execution messages (v7) ------------------------------------
+// --- Distributed-execution messages ------------------------------------------
 //
 // The coordinator/worker vocabulary of src/dist (docs/ARCHITECTURE.md,
 // "Distributed execution"). Rows are named by STABLE id everywhere: the
@@ -131,9 +115,6 @@ Result<MutationResult> DeserializeMutationResult(const Bytes& wire);
 struct ShardAssignment {
   std::string table;
   uint64_t generation = 0;
-  /// Cluster placement width K the coordinator partitioned under
-  /// (ShardedTable::ShardOfDigest); metadata for diagnostics.
-  uint32_t num_shards = 0;
   uint32_t shard = 0;
   std::vector<StableRowId> row_ids;  ///< aligned with `rows`
   std::vector<EncryptedRow> rows;

@@ -147,7 +147,6 @@ Status Coordinator::SendShard(Worker& w, const std::string& table,
   ShardAssignment a;
   a.table = table;
   a.generation = snap->generation;
-  a.num_shards = static_cast<uint32_t>(num_shards_);
   a.shard = shard;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -220,7 +219,6 @@ Status Coordinator::DropShard(Worker& w, const std::string& table,
   }
   ShardAssignment a;
   a.table = table;
-  a.num_shards = static_cast<uint32_t>(num_shards_);
   a.shard = shard;
   auto snap = engine_.table_store().Get(table);
   if (snap.ok()) a.generation = snap->generation;

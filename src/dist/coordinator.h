@@ -1,7 +1,7 @@
 // The coordinator half of distributed series execution: owns the full
 // engine (planning, SSE pre-filters, SJ.Match, leakage closure, budget
 // ledger all run here) and fans the batched SJ.Dec pass out to worker
-// TcpServers over the framed wire-v7 protocol, merging the returned
+// TcpServers over the framed wire protocol, merging the returned
 // digests back by original row index. Digests depend only on
 // (ciphertext, token), so the merged per-query results are BYTE-IDENTICAL
 // to single-node ExecuteJoinSeriesSharded (tests/dist_test.cc pins this

@@ -1,6 +1,6 @@
 // Length-prefixed framing for the TCP transport: the thin shell that
-// carries the existing wire-v2..v6 messages (db/wire.h) over a byte
-// stream. A frame is a fixed 12-byte header followed by the payload:
+// carries the wire-v8 messages (db/wire.h) over a byte stream. A frame
+// is a fixed 12-byte header followed by the payload:
 //
 //   offset  size  field
 //        0     4  magic   'S' 'J' 'N' '1'   (stream desync detector)
@@ -52,15 +52,16 @@ constexpr size_t kDefaultMaxFrameBytes = size_t{64} << 20;  // 64 MiB
 enum class FrameType : uint8_t {
   kHello = 1,         // server -> client on accept: session binding
   kQuerySeries = 2,   // payload: SerializeQuerySeries
-  kQuerySeriesSharded = 3,  // same payload, sharded execution path
+  // 3 is retired (a second series request); it is well-framed but, like
+  // any response type sent to the server, answered as "not a request".
   kMutation = 4,      // payload: SerializeTableMutation
   kSeriesResult = 5,  // payload: SerializeSeriesResult
   kMutationResult = 6,  // payload: SerializeMutationResult
   kError = 7,         // payload: EncodeErrorPayload (status code + message)
   kPing = 8,          // liveness probe; server echoes the payload back
   kPong = 9,
-  // Distributed-execution requests (coordinator -> worker; wire v7
-  // payloads, db/wire.h "Distributed-execution messages"). A server
+  // Distributed-execution requests (coordinator -> worker; payloads in
+  // db/wire.h "Distributed-execution messages"). A server
   // without a shard handler (TcpServerOptions::shard_handler) answers
   // them with the same "not a request" error as any unknown type.
   kShardAssign = 10,    // payload: SerializeShardAssignment

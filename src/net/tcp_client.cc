@@ -99,15 +99,6 @@ Result<EncryptedSeriesResult> TcpClient::ExecuteSeries(
   return DeserializeSeriesResult(*payload);
 }
 
-Result<EncryptedSeriesResult> TcpClient::ExecuteSeriesSharded(
-    const QuerySeriesTokens& series) {
-  auto payload =
-      RoundTrip(FrameType::kQuerySeriesSharded, SerializeQuerySeries(series),
-                FrameType::kSeriesResult);
-  SJOIN_RETURN_IF_ERROR(payload.status());
-  return DeserializeSeriesResult(*payload);
-}
-
 Result<MutationResult> TcpClient::ApplyMutation(const TableMutation& mutation) {
   auto payload =
       RoundTrip(FrameType::kMutation, SerializeTableMutation(mutation),

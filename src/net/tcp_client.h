@@ -4,12 +4,12 @@
 // server session; open several clients for concurrent sessions (the load
 // generator in bench/bench_net_throughput.cc does exactly that).
 //
-// The high-level calls (ExecuteSeries / ExecuteSeriesSharded /
-// ApplyMutation / Ping) send one request and block for its response --
-// the server answers a connection's requests in order, so no correlation
-// ids are needed. The low-level SendFrame / ReadFrame / SendRaw surface
-// exists for pipelining and for the fault-injection tests (torn writes,
-// garbage bytes) in tests/net_test.cc.
+// The high-level calls (ExecuteSeries / ApplyMutation / Ping) send one
+// request and block for its response -- the server answers a
+// connection's requests in order, so no correlation ids are needed. The
+// low-level SendFrame / ReadFrame / SendRaw surface exists for
+// pipelining and for the fault-injection tests (torn writes, garbage
+// bytes) in tests/net_test.cc.
 #ifndef SJOIN_NET_TCP_CLIENT_H_
 #define SJOIN_NET_TCP_CLIENT_H_
 
@@ -42,8 +42,8 @@ class TcpClient {
   TcpClient& operator=(TcpClient&&) = default;
 
   /// The server-assigned session this connection executes under. The
-  /// server stamps it into every request of this connection regardless of
-  /// what the serialized message says.
+  /// server runs every request of this connection under it; the
+  /// serialized messages carry no session id.
   SessionId session_id() const { return session_; }
   bool connected() const { return fd_.valid(); }
   void Close() { fd_.Reset(); }
@@ -54,9 +54,6 @@ class TcpClient {
   /// response decodes back into the Status the in-process caller would
   /// have seen.
   Result<EncryptedSeriesResult> ExecuteSeries(const QuerySeriesTokens& series);
-  /// Same, routed to the server's sharded execution path.
-  Result<EncryptedSeriesResult> ExecuteSeriesSharded(
-      const QuerySeriesTokens& series);
   Result<MutationResult> ApplyMutation(const TableMutation& mutation);
   /// Liveness probe: the payload echoes back.
   Status Ping();

@@ -379,7 +379,6 @@ void TcpServer::HandleFrame(const std::shared_ptr<Conn>& conn, Frame frame) {
       QueueFrame(conn, FrameType::kPong, frame.payload);
       return;
     case FrameType::kQuerySeries:
-    case FrameType::kQuerySeriesSharded:
     case FrameType::kMutation:
       DispatchRequest(conn, frame.type, std::move(frame.payload));
       return;
@@ -429,9 +428,8 @@ void TcpServer::DispatchRequest(const std::shared_ptr<Conn>& conn,
   if (type == FrameType::kMutation) {
     auto mutation = DeserializeTableMutation(payload);
     if (!mutation.ok()) return fail(mutation.status());
-    // The connection's session is authoritative: whatever session id the
-    // message carried, requests execute -- and are admission-controlled --
-    // under the session this connection opened at accept time.
+    // Requests execute -- and are admission-controlled -- under the
+    // session this connection opened at accept time; the wire carries none.
     mutation->session_id = conn->session;
     engine_->SubmitMutationAsync(
         std::move(*mutation), [this, conn_id, seq](Result<MutationResult> r) {
@@ -450,23 +448,18 @@ void TcpServer::DispatchRequest(const std::shared_ptr<Conn>& conn,
   auto series = DeserializeQuerySeries(payload);
   if (!series.ok()) return fail(series.status());
   series->session_id = conn->session;
-  auto done = [this, conn_id, seq](Result<EncryptedSeriesResult> r) {
-    if (!r.ok()) {
-      CompleteRequest(conn_id, seq, ErrorFrame(r.status()), true);
-    } else {
-      CompleteRequest(conn_id, seq,
-                      EncodeFrame(FrameType::kSeriesResult,
-                                  SerializeSeriesResult(*r)),
-                      false);
-    }
-  };
-  if (type == FrameType::kQuerySeriesSharded) {
-    engine_->SubmitJoinSeriesShardedAsync(std::move(*series), opts_.exec,
-                                          std::move(done));
-  } else {
-    engine_->SubmitJoinSeriesAsync(std::move(*series), opts_.exec,
-                                   std::move(done));
-  }
+  engine_->SubmitJoinSeriesAsync(
+      std::move(*series), opts_.exec,
+      [this, conn_id, seq](Result<EncryptedSeriesResult> r) {
+        if (!r.ok()) {
+          CompleteRequest(conn_id, seq, ErrorFrame(r.status()), true);
+        } else {
+          CompleteRequest(conn_id, seq,
+                          EncodeFrame(FrameType::kSeriesResult,
+                                      SerializeSeriesResult(*r)),
+                          false);
+        }
+      });
 }
 
 void TcpServer::DispatchShardRequest(const std::shared_ptr<Conn>& conn,

@@ -6,13 +6,13 @@
 //
 // Connection <-> session binding: every accepted connection opens its own
 // SessionManager session (announced to the peer in a kHello frame) and
-// every request on the connection is stamped with that session id --
-// whatever the client wrote in the message is overridden, so a connection
-// can never submit under another client's session. The binding buys the
-// scheduler's guarantees per connection: FIFO execution of one
-// connection's requests (responses therefore come back in request order),
-// round-robin fairness across connections, admission control per
-// connection. Closing the connection closes the session.
+// every request on the connection executes under that session id -- the
+// wire messages carry none, so a connection can never submit under
+// another client's session. The binding buys the scheduler's guarantees
+// per connection: FIFO execution of one connection's requests (responses
+// therefore come back in request order), round-robin fairness across
+// connections, admission control per connection. Closing the connection
+// closes the session.
 //
 // Robustness contract (asserted by tests/net_test.cc, label "net"):
 //  - Slow/partial writes: responses go into a per-connection outbound

@@ -436,18 +436,5 @@ TEST_F(BackendDispatchTest, BackendTrailSurvivesTheWire) {
   EXPECT_EQ(back->stats.budgets, res->stats.budgets);
 }
 
-TEST(BackendWireTest, V5SeriesDecodesWithSjoinOnlyPolicy) {
-  WireWriter w;
-  w.U8(5);     // wire version 5
-  w.U8(0x71);  // query-series tag
-  w.U32(0);    // no queries
-  w.U32(0);    // requested shards (v3)
-  w.U64(0);    // session id (v5)
-  auto back = DeserializeQuerySeries(w.bytes());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->allowed_backends, kBackendMaskSjoinOnly);
-  EXPECT_FALSE(back->has_onion_key);
-}
-
 }  // namespace
 }  // namespace sjoin

@@ -290,14 +290,6 @@ TEST_F(EncryptedDbTest, EmptyResultWhenNoRowSatisfiesSelection) {
   EXPECT_EQ(joined->NumRows(), 0u);
 }
 
-TEST_F(EncryptedDbTest, NestedLoopMatchesHashJoin) {
-  JoinQuerySpec q = PaperQueryT1();
-  auto h = RunQuery(q, {.use_hash_join = true});
-  auto n = RunQuery(q, {.use_hash_join = false});
-  ASSERT_TRUE(h.ok() && n.ok());
-  EXPECT_EQ(h->NumRows(), n->NumRows());
-}
-
 TEST_F(EncryptedDbTest, MultithreadedDecryptMatches) {
   JoinQuerySpec q = PaperQueryT1();
   q.selection_a.predicates.clear();

@@ -12,9 +12,9 @@
 //    serving -- asserted with a concurrent healthy client -- and must
 //    have reclaimed the faulty connection's session.
 //  - End-to-end loopback byte-identity: concurrent TcpClients running
-//    mixed series / sharded-series / mutation workloads produce results
-//    byte-identical (SerializeJoinResult / SerializeMutationResult) to
-//    an in-process twin engine executing the same prepared messages.
+//    mixed series / mutation workloads produce results byte-identical
+//    (SerializeJoinResult / SerializeMutationResult) to an in-process
+//    twin engine executing the same prepared messages.
 //  - Shutdown ordering: Submit after EncryptedServer::Shutdown()
 //    surfaces a clean FailedPrecondition -- in-process and over a
 //    socket -- instead of silently dropping the request (regression for
@@ -422,15 +422,6 @@ TEST(TcpTransport, SeriesMutationAndShardedMatchInProcessByteForByte) {
   ASSERT_TRUE(twin1.ok());
   EXPECT_EQ(ResultBytes(*net1), ResultBytes(*twin1));
 
-  // Sharded series (client-tagged shard count).
-  auto s2 = env.client.PrepareSeriesSharded({KeySpec("X", "Y")}, {x, y}, 3);
-  ASSERT_TRUE(s2.ok());
-  auto net2 = c->ExecuteSeriesSharded(*s2);
-  auto twin2 = env.twin.ExecuteJoinSeriesSharded(*s2, {});
-  ASSERT_TRUE(net2.ok()) << net2.status().message();
-  ASSERT_TRUE(twin2.ok());
-  EXPECT_EQ(ResultBytes(*net2), ResultBytes(*twin2));
-
   // Mutation: insert two rows, delete one original row; the networked
   // acknowledgement (generation, assigned ids) must equal the twin's.
   auto ins = env.client.PrepareInsert(*x, MakeKeyed("X", 2, 2));
@@ -614,7 +605,7 @@ TEST(TcpTransport, ConcurrentMixedWorkloadsMatchInProcessByteForByte) {
   // All messages prepared up front (the client is single-threaded by
   // contract) and executed twice: over the wire and on the twin.
   struct Op {
-    enum { kSeries, kSharded, kMutation } kind;
+    enum { kSeries, kMutation } kind;
     QuerySeriesTokens series;
     TableMutation mutation;
   };
@@ -622,7 +613,7 @@ TEST(TcpTransport, ConcurrentMixedWorkloadsMatchInProcessByteForByte) {
   for (int t = 0; t < kClients; ++t) {
     const std::string pname = "P" + std::to_string(t);
     auto s1 = env.client.PrepareSeries({KeySpec(pname, "X")}, {priv[t], x});
-    auto s2 = env.client.PrepareSeriesSharded({KeySpec("X", "Y")}, {x, y}, 2);
+    auto s2 = env.client.PrepareSeries({KeySpec("X", "Y")}, {x, y});
     auto ins = env.client.PrepareInsert(*priv[t], MakeKeyed(pname, 3, 2));
     auto s3 = env.client.PrepareSeries(
         {KeySpec(pname, pname), KeySpec(pname, "Y")}, {priv[t], y});
@@ -633,7 +624,7 @@ TEST(TcpTransport, ConcurrentMixedWorkloadsMatchInProcessByteForByte) {
     ASSERT_TRUE(s1.ok() && s2.ok() && ins.ok() && s3.ok() && del.ok() &&
                 s4.ok());
     plans[t].push_back({Op::kSeries, std::move(*s1), {}});
-    plans[t].push_back({Op::kSharded, std::move(*s2), {}});
+    plans[t].push_back({Op::kSeries, std::move(*s2), {}});
     plans[t].push_back({Op::kMutation, {}, std::move(*ins)});
     plans[t].push_back({Op::kSeries, std::move(*s3), {}});
     plans[t].push_back({Op::kMutation, {}, std::move(*del)});
@@ -666,12 +657,6 @@ TEST(TcpTransport, ConcurrentMixedWorkloadsMatchInProcessByteForByte) {
             if (r.ok()) rec.series_bytes = ResultBytes(*r);
             break;
           }
-          case Op::kSharded: {
-            auto r = c->ExecuteSeriesSharded(op.series);
-            rec.status = r.status();
-            if (r.ok()) rec.series_bytes = ResultBytes(*r);
-            break;
-          }
           case Op::kMutation: {
             auto r = c->ApplyMutation(op.mutation);
             rec.status = r.status();
@@ -700,12 +685,6 @@ TEST(TcpTransport, ConcurrentMixedWorkloadsMatchInProcessByteForByte) {
       switch (op.kind) {
         case Op::kSeries: {
           auto r = env.twin.ExecuteJoinSeries(op.series, {});
-          ASSERT_TRUE(r.ok());
-          EXPECT_EQ(rec.series_bytes, ResultBytes(*r));
-          break;
-        }
-        case Op::kSharded: {
-          auto r = env.twin.ExecuteJoinSeriesSharded(op.series, {});
           ASSERT_TRUE(r.ok());
           EXPECT_EQ(rec.series_bytes, ResultBytes(*r));
           break;
@@ -847,15 +826,19 @@ TEST(TcpFault, NonRequestFrameTypeGetsAnErrorButKeepsTheConnection) {
   env.Start();
   auto c = env.Dial();
   ASSERT_TRUE(c.ok());
-  // A well-framed kSeriesResult sent TO the server: framing is intact,
-  // so the connection survives; the peer gets an in-order error.
-  ASSERT_TRUE(c->SendFrame(FrameType::kSeriesResult, {1, 2, 3}).ok());
-  auto f = c->ReadFrame();
-  ASSERT_TRUE(f.ok());
-  ASSERT_EQ(f->type, FrameType::kError);
-  EXPECT_EQ(DecodeErrorPayload(f->payload).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(c->Ping().ok());  // still connected
+  // A well-framed kSeriesResult sent TO the server, and the retired
+  // request type 3: framing is intact, so the connection survives; the
+  // peer gets an in-order error.
+  for (FrameType type : {FrameType::kSeriesResult, FrameType{3}}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    ASSERT_TRUE(c->SendFrame(type, {1, 2, 3}).ok());
+    auto f = c->ReadFrame();
+    ASSERT_TRUE(f.ok());
+    ASSERT_EQ(f->type, FrameType::kError);
+    EXPECT_EQ(DecodeErrorPayload(f->payload).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(c->Ping().ok());  // still connected
+  }
 }
 
 TEST(TcpFault, StalledPeerIsDisconnectedInsteadOfHoldingMemory) {

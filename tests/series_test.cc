@@ -466,14 +466,13 @@ TEST_F(SeriesTest, SeriesHonorsExecOptions) {
   auto series = client_->PrepareSeries(
       {TeamsEmployeesSpec(), TeamsEmployeesSpec()}, Tables());
   ASSERT_TRUE(series.ok());
-  auto hash_join = series_server_.ExecuteJoinSeries(
-      *series, {.num_threads = 0, .use_hash_join = true});
-  auto nested = series_server_.ExecuteJoinSeries(
-      *series, {.num_threads = 4, .use_hash_join = false});
-  ASSERT_TRUE(hash_join.ok() && nested.ok());
+  auto pool_default = series_server_.ExecuteJoinSeries(
+      *series, {.num_threads = 0});
+  auto four = series_server_.ExecuteJoinSeries(*series, {.num_threads = 4});
+  ASSERT_TRUE(pool_default.ok() && four.ok());
   for (size_t q = 0; q < 2; ++q) {
-    EXPECT_EQ(hash_join->results[q].matched_row_indices,
-              nested->results[q].matched_row_indices);
+    EXPECT_EQ(pool_default->results[q].matched_row_indices,
+              four->results[q].matched_row_indices);
   }
 }
 
@@ -629,12 +628,21 @@ TEST(SeriesWireTest, OutOfRangeSseColumnIndexMatchesNothing) {
 }
 
 TEST(SeriesWireTest, HugeCountRejectedWithoutAllocation) {
-  // version 2, series tags, count = 0xFFFFFFFF, no payload: must come back
-  // as a Status (truncated read), not an attempted multi-GB allocation.
-  Bytes query_msg = {0x02, 0x71, 0xFF, 0xFF, 0xFF, 0xFF};
-  EXPECT_FALSE(DeserializeQuerySeries(query_msg).ok());
-  Bytes result_msg = {0x02, 0x72, 0xFF, 0xFF, 0xFF, 0xFF};
-  EXPECT_FALSE(DeserializeSeriesResult(result_msg).ok());
+  // The current version (byte 0 of a fresh message), series tags, count =
+  // 0xFFFFFFFF, no payload: the header passes, so the decoder reaches the
+  // hostile count and must come back with a truncated read (OutOfRange),
+  // not an attempted multi-GB allocation.
+  const uint8_t version = SerializeQuerySeries(QuerySeriesTokens{})[0];
+  Bytes query_msg = {version, 0x71, 0xFF, 0xFF, 0xFF, 0xFF};
+  auto query = DeserializeQuerySeries(query_msg);
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().code(), StatusCode::kOutOfRange)
+      << query.status().ToString();
+  Bytes result_msg = {version, 0x72, 0xFF, 0xFF, 0xFF, 0xFF};
+  auto result = DeserializeSeriesResult(result_msg);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
+      << result.status().ToString();
 }
 
 }  // namespace

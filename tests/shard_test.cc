@@ -1,9 +1,9 @@
 // Sharded routing and parallel cross-shard series execution: row routing
 // must be deterministic, ExecuteJoinSeriesSharded must produce results
 // bit-identical to the unsharded engine at every shard count and share its
-// warm prepared rows, per-shard stats must sum to the series totals, and
-// the wire v3 shard fields must round-trip (with v2 payloads still
-// decoding). Runs standalone via: ctest -L shard
+// warm prepared rows, and per-shard stats must sum to the series totals.
+// Also pins the one wire version every decoder accepts. Runs standalone
+// via: ctest -L shard
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -46,8 +46,8 @@ TEST(ShardedTableTest, ClampShardCount) {
   EXPECT_EQ(ShardedTable::ClampShardCount(10, 4), 4u);
   EXPECT_EQ(ShardedTable::ClampShardCount(3, 8), 3u);   // never beyond rows
   EXPECT_EQ(ShardedTable::ClampShardCount(3, 3), 3u);
-  // The request can come off the wire: a hostile value hits the ceiling
-  // instead of allocating millions of partitions.
+  // An absurd request hits the ceiling instead of allocating millions of
+  // partitions.
   EXPECT_EQ(ShardedTable::ClampShardCount(size_t{1} << 20, size_t{1} << 30),
             ShardedTable::kMaxShards);
 }
@@ -230,17 +230,6 @@ TEST_F(ShardSeriesTest, ShardedPathSharesWarmRowsWithUnshardedPath) {
   }
 }
 
-TEST_F(ShardSeriesTest, ClientRoutingRequestOverridesServerOption) {
-  auto series = client_->PrepareSeriesSharded({Spec()}, Tables(), 2);
-  ASSERT_TRUE(series.ok());
-  EXPECT_EQ(series->requested_shards, 2u);
-  // The client's request (2) wins over the server default (8).
-  auto r = sharded_server_.ExecuteJoinSeriesSharded(*series,
-                                                    {.num_shards = 8});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.shards, 2u);
-}
-
 TEST_F(ShardSeriesTest, ShardedChainStillDeduplicatesSharedTokens) {
   // A shared-key chain replayed twice: the digest cache must dedupe on the
   // sharded path exactly as on the unsharded one.
@@ -287,91 +276,115 @@ TEST_F(ShardSeriesTest, DelegateCountersMustAgreeWithItsBitmap) {
             honest->stats.pairings_computed + honest->stats.prepared_pairings);
 }
 
-// --- Wire v3 -------------------------------------------------------------------
+// --- Wire version --------------------------------------------------------------
 
-TEST(ShardWireTest, SeriesResultRoundTripCarriesShardStats) {
-  EncryptedSeriesResult result;
-  result.stats.queries = 2;
-  result.stats.decrypts_requested = 10;
-  result.stats.decrypts_performed = 7;
-  result.stats.digest_cache_hits = 3;
-  result.stats.pairings_computed = 1;
-  result.stats.prepared_pairings = 6;
-  result.stats.prepared_rows_built = 4;
-  result.stats.prepared_cache_hits = 2;
-  result.stats.shards = 2;
-  result.stats.shard_stats = {
-      ShardExecStats{.decrypts_performed = 4,
-                     .pairings_computed = 1,
-                     .prepared_pairings = 3,
-                     .prepared_rows_built = 2,
-                     .prepared_cache_hits = 1},
-      ShardExecStats{.decrypts_performed = 3,
-                     .pairings_computed = 0,
-                     .prepared_pairings = 3,
-                     .prepared_rows_built = 2,
-                     .prepared_cache_hits = 1}};
-
-  Bytes wire = SerializeSeriesResult(result);
-  auto back = DeserializeSeriesResult(wire);
+/// Round-trips `msg` through its codec, then re-stamps byte 0 with every
+/// version but the current one: each must be refused before a field is
+/// read, with an InvalidArgument naming the stamp. The current stamp, put
+/// back, decodes again.
+template <typename Msg, typename Ser, typename De>
+void ExpectOnlyCurrentVersionDecodes(const Msg& msg, Ser serialize,
+                                     De deserialize, const char* what) {
+  SCOPED_TRACE(what);
+  Bytes wire = serialize(msg);
+  ASSERT_EQ(wire[0], 8) << "current wire version";
+  for (int version : {0, 1, 2, 6, 7, 9, 255}) {
+    wire[0] = static_cast<uint8_t>(version);
+    auto back = deserialize(wire);
+    ASSERT_FALSE(back.ok()) << "version " << version << " decoded";
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(back.status().message().find("wire version " +
+                                           std::to_string(version)),
+              std::string::npos)
+        << back.status().ToString();
+  }
+  wire[0] = 8;
+  auto back = deserialize(wire);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->stats.shards, 2u);
-  EXPECT_EQ(back->stats.shard_stats, result.stats.shard_stats);
-  EXPECT_EQ(back->stats.decrypts_performed, 7u);
-  EXPECT_EQ(back->stats.prepared_cache_hits, 2u);
-}
-
-TEST(ShardWireTest, QuerySeriesRoundTripCarriesRoutingRequest) {
-  QuerySeriesTokens series;
-  series.requested_shards = 5;
-  Bytes wire = SerializeQuerySeries(series);
-  auto back = DeserializeQuerySeries(wire);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->requested_shards, 5u);
-}
-
-TEST(ShardWireTest, V2SeriesResultStillDecodes) {
-  // A v2 series result (PR 2 layout): header, zero results, the eight
-  // u64 counters, nothing else. Must decode with the v3-only fields at
-  // their defaults -- old servers keep talking to new clients.
-  WireWriter w;
-  w.U8(2);     // wire version 2
-  w.U8(0x72);  // series-result tag
-  w.U32(0);    // no per-query results
-  for (uint64_t v = 1; v <= 8; ++v) w.U64(v);
-  auto back = DeserializeSeriesResult(w.bytes());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->stats.queries, 1u);
-  EXPECT_EQ(back->stats.prepared_cache_hits, 8u);
-  EXPECT_EQ(back->stats.shards, 0u);          // v3 field, default
-  EXPECT_TRUE(back->stats.shard_stats.empty());
-}
-
-TEST(ShardWireTest, V2QuerySeriesStillDecodes) {
-  WireWriter w;
-  w.U8(2);     // wire version 2
-  w.U8(0x71);  // query-series tag
-  w.U32(0);    // no queries
-  auto back = DeserializeQuerySeries(w.bytes());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(back->queries.empty());
-  EXPECT_EQ(back->requested_shards, 0u);      // v3 field, default
+  EXPECT_EQ(serialize(*back), wire);
 }
 
 TEST(ShardWireTest, VersionsOutsideTheWindowRejectedWithVersionedError) {
-  // One below the window (v1) and two above the current ceiling (v7).
-  for (uint8_t version : {uint8_t{1}, uint8_t{8}, uint8_t{9}}) {
-    WireWriter w;
-    w.U8(version);
-    w.U8(0x72);
-    w.U32(0);
-    auto back = DeserializeSeriesResult(w.bytes());
-    ASSERT_FALSE(back.ok());
-    EXPECT_NE(back.status().ToString().find("version"), std::string::npos)
-        << back.status().ToString();
-    EXPECT_NE(back.status().ToString().find(std::to_string(version)),
-              std::string::npos);
-  }
+  // The window is one version wide: every one of the 13 decoders accepts
+  // v8 and nothing else. Payloads are small but non-empty, so a decoder
+  // that skipped the check would have fields to misread.
+  EncryptedClient client({.num_attrs = 1, .max_in_clause = 1,
+                          .rng_seed = 1109});
+  auto enc = client.EncryptTable(MakeCustomers(2), "customer");
+  ASSERT_TRUE(enc.ok());
+  JoinQuerySpec spec;
+  spec.table_a = spec.table_b = "Customers";
+  spec.join_column_a = spec.join_column_b = "customer";
+  auto series = client.PrepareSeries({spec}, {&*enc});
+  ASSERT_TRUE(series.ok());
+  const JoinQueryTokens& query = series->queries[0];
+
+  EncryptedJoinResult result;
+  result.row_pairs.emplace_back(enc->rows[0].payload, enc->rows[1].payload);
+  result.matched_row_indices = {{0, 1}};
+  result.stats.result_pairs = 1;
+  EncryptedSeriesResult series_result;
+  series_result.results = {result};
+  series_result.stats.queries = 1;
+  series_result.stats.budgets = {{"Customers", 10, 2, 8}};
+  TableMutation mutation;
+  mutation.table = "Customers";
+  mutation.deletes = {1};
+  mutation.inserts = {enc->rows[0]};
+  MutationResult mutation_result{.generation = 3, .inserted_ids = {7}};
+  ShardAssignment assign;
+  assign.table = "Customers";
+  assign.shard = 1;
+  assign.row_ids = {0};
+  assign.rows = {enc->rows[0]};
+  ShardAck ack{.generation = 2, .rows_held = 1};
+  ShardDecryptRequest decrypt_req;
+  decrypt_req.table = "Customers";
+  decrypt_req.token = query.token_a;
+  decrypt_req.rows = {0, 1};
+  ShardDecryptResponse decrypt_resp;
+  decrypt_resp.have = {1, 0};
+  decrypt_resp.digests.resize(1);
+  decrypt_resp.stats.decrypts_performed = 1;
+  ShardMutation shard_mutation;
+  shard_mutation.table = "Customers";
+  shard_mutation.deletes = {1};
+  shard_mutation.insert_ids = {2};
+  shard_mutation.insert_shards = {0};
+  shard_mutation.inserts = {enc->rows[1]};
+  WorkerHealthInfo health{.tables = 1, .rows_held = 2};
+
+  ExpectOnlyCurrentVersionDecodes(*enc, SerializeEncryptedTable,
+                                  DeserializeEncryptedTable, "table");
+  ExpectOnlyCurrentVersionDecodes(query, SerializeJoinQueryTokens,
+                                  DeserializeJoinQueryTokens, "query");
+  ExpectOnlyCurrentVersionDecodes(result, SerializeJoinResult,
+                                  DeserializeJoinResult, "result");
+  ExpectOnlyCurrentVersionDecodes(*series, SerializeQuerySeries,
+                                  DeserializeQuerySeries, "series");
+  ExpectOnlyCurrentVersionDecodes(series_result, SerializeSeriesResult,
+                                  DeserializeSeriesResult, "series result");
+  ExpectOnlyCurrentVersionDecodes(mutation, SerializeTableMutation,
+                                  DeserializeTableMutation, "mutation");
+  ExpectOnlyCurrentVersionDecodes(mutation_result, SerializeMutationResult,
+                                  DeserializeMutationResult,
+                                  "mutation result");
+  ExpectOnlyCurrentVersionDecodes(assign, SerializeShardAssignment,
+                                  DeserializeShardAssignment,
+                                  "shard assignment");
+  ExpectOnlyCurrentVersionDecodes(ack, SerializeShardAck, DeserializeShardAck,
+                                  "shard ack");
+  ExpectOnlyCurrentVersionDecodes(decrypt_req, SerializeShardDecryptRequest,
+                                  DeserializeShardDecryptRequest,
+                                  "shard decrypt request");
+  ExpectOnlyCurrentVersionDecodes(decrypt_resp, SerializeShardDecryptResponse,
+                                  DeserializeShardDecryptResponse,
+                                  "shard decrypt response");
+  ExpectOnlyCurrentVersionDecodes(shard_mutation, SerializeShardMutation,
+                                  DeserializeShardMutation, "shard mutation");
+  ExpectOnlyCurrentVersionDecodes(health, SerializeWorkerHealthInfo,
+                                  DeserializeWorkerHealthInfo,
+                                  "worker health");
 }
 
 }  // namespace

@@ -1,19 +1,19 @@
-// Property tests for the wire codecs (v2..v5 window): randomized messages
-// of every type must round-trip byte-exactly, and corrupted frames --
-// every strict truncation, random single-bit flips -- must come back as
-// Status errors, never as crashes, hangs or unbounded allocations. CI
-// runs this suite under ASan/UBSan and TSan, so any out-of-bounds read a
-// malformed frame provokes fails the build even when it would "work" in
-// production.
+// Property tests for the wire codecs (wire v8, the one version): randomized
+// messages of every type, every optional field included, must round-trip
+// byte-exactly, and corrupted frames -- every strict truncation, random
+// single-bit flips -- must come back as Status errors, never as crashes,
+// hangs or unbounded allocations. CI runs this suite under ASan/UBSan and
+// TSan, so any out-of-bounds read a malformed frame provokes fails the
+// build even when it would "work" in production.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "crypto/rng.h"
-#include "db/client.h"
 #include "db/wire.h"
 #include "ec/g1.h"
 #include "ec/g2.h"
@@ -22,6 +22,12 @@ namespace sjoin {
 namespace {
 
 // --- Random message generators -------------------------------------------------
+
+template <size_t N>
+void FillRandom(Rng& rng, std::array<uint8_t, N>* out) {
+  Bytes b = rng.NextBytes(N);
+  std::copy(b.begin(), b.end(), out->begin());
+}
 
 G1Affine RandG1(Rng& rng) {
   if (rng.NextUint64Below(8) == 0) return G1Affine::Infinity();
@@ -35,27 +41,33 @@ G2Affine RandG2(Rng& rng) {
 
 AeadCiphertext RandAead(Rng& rng) {
   AeadCiphertext ct;
-  Bytes nonce = rng.NextBytes(ct.nonce.size());
-  std::copy(nonce.begin(), nonce.end(), ct.nonce.begin());
+  FillRandom(rng, &ct.nonce);
   ct.body = rng.NextBytes(rng.NextUint64Below(20));
-  Bytes tag = rng.NextBytes(ct.tag.size());
-  std::copy(tag.begin(), tag.end(), ct.tag.begin());
+  FillRandom(rng, &ct.tag);
   return ct;
 }
 
 EncryptedRow RandRow(Rng& rng, size_t dim) {
   EncryptedRow row;
   for (size_t i = 0; i < dim; ++i) row.sj.c.push_back(RandG2(rng));
-  Bytes salt = rng.NextBytes(row.sse.salt.size());
-  std::copy(salt.begin(), salt.end(), row.sse.salt.begin());
+  FillRandom(rng, &row.sse.salt);
   size_t ntags = rng.NextUint64Below(3);
   for (size_t i = 0; i < ntags; ++i) {
     SseTag tag;
-    Bytes b = rng.NextBytes(tag.size());
-    std::copy(b.begin(), b.end(), tag.begin());
+    FillRandom(rng, &tag);
     row.sse.tags.push_back(tag);
   }
   row.payload = RandAead(rng);
+  // Fast-backend encodings: the det tag and the onion (nonce, wrapped
+  // tag) each present or absent, so every flag-byte value the codec
+  // writes is exercised.
+  row.enc.has_det = rng.NextUint64Below(2) != 0;
+  if (row.enc.has_det) FillRandom(rng, &row.enc.det_tag);
+  row.enc.has_onion = rng.NextUint64Below(2) != 0;
+  if (row.enc.has_onion) {
+    FillRandom(rng, &row.enc.onion_nonce);
+    FillRandom(rng, &row.enc.onion_wrapped);
+  }
   return row;
 }
 
@@ -89,8 +101,7 @@ std::vector<SseTokenGroup> RandSseGroups(Rng& rng) {
     size_t ntok = rng.NextUint64Below(3);
     for (size_t i = 0; i < ntok; ++i) {
       SseToken tok;
-      Bytes b = rng.NextBytes(tok.size());
-      std::copy(b.begin(), b.end(), tok.begin());
+      FillRandom(rng, &tok);
       group.tokens.push_back(tok);
     }
     groups.push_back(std::move(group));
@@ -115,8 +126,10 @@ QuerySeriesTokens RandSeries(Rng& rng) {
   QuerySeriesTokens s;
   size_t n = rng.NextUint64Below(3);
   for (size_t i = 0; i < n; ++i) s.queries.push_back(RandQuery(rng));
-  s.requested_shards = static_cast<uint32_t>(rng.NextUint64Below(10));
-  s.session_id = rng.NextUint64();  // v5 field: full 64-bit range
+  // The codec carries the policy mask verbatim: any 32-bit value.
+  s.allowed_backends = static_cast<uint32_t>(rng.NextUint64());
+  s.has_onion_key = rng.NextUint64Below(2) != 0;
+  if (s.has_onion_key) FillRandom(rng, &s.onion_key);
   return s;
 }
 
@@ -148,15 +161,18 @@ EncryptedSeriesResult RandSeriesResult(Rng& rng) {
   r.stats.prepared_pairings = rng.NextUint64Below(1000);
   r.stats.prepared_rows_built = rng.NextUint64Below(1000);
   r.stats.prepared_cache_hits = rng.NextUint64Below(1000);
-  r.stats.shards = rng.NextUint64Below(4);
-  for (size_t s = 0; s < r.stats.shards; ++s) {
-    ShardExecStats shard;
-    shard.decrypts_performed = rng.NextUint64Below(100);
-    shard.pairings_computed = rng.NextUint64Below(100);
-    shard.prepared_pairings = rng.NextUint64Below(100);
-    shard.prepared_rows_built = rng.NextUint64Below(100);
-    shard.prepared_cache_hits = rng.NextUint64Below(100);
-    r.stats.shard_stats.push_back(shard);
+  r.stats.backend_sjoin_queries = rng.NextUint64Below(10);
+  r.stats.backend_det_queries = rng.NextUint64Below(10);
+  r.stats.backend_onion_queries = rng.NextUint64Below(10);
+  r.stats.leakage_charged = rng.NextUint64();
+  size_t nbudgets = rng.NextUint64Below(3);
+  for (size_t i = 0; i < nbudgets; ++i) {
+    SeriesExecStats::TableBudget b;
+    b.table = "T" + std::to_string(rng.NextUint64Below(10));
+    b.limit = rng.NextUint64();
+    b.spent = rng.NextUint64Below(1000);
+    b.remaining = rng.NextUint64();
+    r.stats.budgets.push_back(std::move(b));
   }
   return r;
 }
@@ -164,7 +180,6 @@ EncryptedSeriesResult RandSeriesResult(Rng& rng) {
 TableMutation RandMutation(Rng& rng) {
   TableMutation m;
   m.table = "T" + std::to_string(rng.NextUint64Below(10));
-  m.session_id = rng.NextUint64();  // v5 field
   m.base_generation = rng.NextUint64Below(10);
   size_t ndel = rng.NextUint64Below(3);
   for (size_t i = 0; i < ndel; ++i) m.deletes.push_back(rng.NextUint64());
@@ -182,12 +197,11 @@ MutationResult RandMutationResult(Rng& rng) {
   return r;
 }
 
-// Distributed-execution messages (wire v7, src/dist).
+// Distributed-execution messages (src/dist).
 
 Digest32 RandDigest(Rng& rng) {
   Digest32 d;
-  Bytes b = rng.NextBytes(d.size());
-  std::copy(b.begin(), b.end(), d.begin());
+  FillRandom(rng, &d);
   return d;
 }
 
@@ -195,8 +209,7 @@ ShardAssignment RandShardAssignment(Rng& rng) {
   ShardAssignment a;
   a.table = "T" + std::to_string(rng.NextUint64Below(10));
   a.generation = rng.NextUint64Below(50);
-  a.num_shards = 1 + static_cast<uint32_t>(rng.NextUint64Below(16));
-  a.shard = static_cast<uint32_t>(rng.NextUint64Below(a.num_shards));
+  a.shard = static_cast<uint32_t>(rng.NextUint64Below(16));
   size_t n = rng.NextUint64Below(3);
   size_t dim = 1 + rng.NextUint64Below(2);
   for (size_t i = 0; i < n; ++i) {
@@ -282,7 +295,7 @@ void CheckRoundTrip(const Msg& msg, Ser serialize, De deserialize,
 }
 
 /// Every strict prefix must decode to an error (all codec fields are
-/// required within a version, so a truncated frame can never be complete),
+/// required, so a truncated frame can never be complete),
 /// and random single-bit flips must never crash -- they may decode (a
 /// flipped payload byte is still a valid payload) or error (a flipped
 /// point fails on-curve validation), both acceptable; what the sanitizers
@@ -385,8 +398,8 @@ TEST(WirePropertyTest, MutationResultRoundTripAndCorruption) {
   }
 }
 
-// Distributed-execution messages (v7): same properties -- byte-exact
-// round trips, every strict truncation errors, bit flips never crash.
+// Distributed-execution messages: same properties -- byte-exact round
+// trips, every strict truncation errors, bit flips never crash.
 
 TEST(WirePropertyTest, ShardAssignmentRoundTripAndCorruption) {
   for (int i = 0; i < kIterations; ++i) {
@@ -439,121 +452,37 @@ TEST(WirePropertyTest, WorkerHealthInfoRoundTripAndCorruption) {
   }
 }
 
-// --- Version-window edges (the v5 session id) ----------------------------------
+// --- Row encoding flags --------------------------------------------------------
 
-TEST(WirePropertyTest, V4QuerySeriesDecodesWithDefaultSession) {
-  // A v4 frame (PR 4 layout) has no trailing session id; it must decode
-  // as the implicit default session, not as a truncation error.
-  WireWriter w;
-  w.U8(4);     // wire version 4
-  w.U8(0x71);  // query-series tag
-  w.U32(0);    // no queries
-  w.U32(7);    // requested shards (v3 field)
-  auto back = DeserializeQuerySeries(w.bytes());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->requested_shards, 7u);
-  EXPECT_EQ(back->session_id, 0u);
-}
-
-TEST(WirePropertyTest, V4MutationDecodesWithDefaultSession) {
-  WireWriter w;
-  w.U8(4);     // wire version 4
-  w.U8(0x4D);  // mutation tag
-  w.Str("T");
-  w.U64(0);    // base generation
-  w.U32(1);    // one delete
-  w.U64(42);
-  w.U32(0);    // no inserts
-  auto back = DeserializeTableMutation(w.bytes());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->session_id, 0u);
-  EXPECT_EQ(back->deletes, std::vector<StableRowId>{42});
-}
-
-TEST(WirePropertyTest, SessionIdSurvivesTheWire) {
-  QuerySeriesTokens series;
-  series.session_id = 0xdeadbeefcafef00dull;
-  auto back = DeserializeQuerySeries(SerializeQuerySeries(series));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->session_id, 0xdeadbeefcafef00dull);
-
-  TableMutation m;
-  m.table = "T";
-  m.session_id = 17;
-  m.deletes = {1};
-  auto mb = DeserializeTableMutation(SerializeTableMutation(m));
-  ASSERT_TRUE(mb.ok());
-  EXPECT_EQ(mb->session_id, 17u);
-}
-
-// --- Version-window edges (the v7 distributed messages) ------------------------
-
-TEST(WirePropertyTest, PreV7PayloadsStillDecodeUnderAV6Stamp) {
-  // v7 adds new message types but changes no existing layout: any pre-v7
-  // message re-stamped to version 6 must decode to the same fields.
+TEST(WirePropertyTest, UnknownRowEncodingFlagIsRejected) {
+  // The flag byte after a row's payload names the encodings that follow.
+  // A bit the codec does not define (0x04) must be refused, not skipped:
+  // skipping would misread every byte after it. A row with no encodings
+  // is the last thing in a one-row table or insert-only mutation, so its
+  // flag byte is the message's last byte.
   Rng rng(6300);
-  TableMutation m = RandMutation(rng);
-  Bytes wire = SerializeTableMutation(m);
-  ASSERT_EQ(wire[0], 7);  // current wire version
-  wire[0] = 6;
-  auto back = DeserializeTableMutation(wire);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  wire[0] = 7;
-  EXPECT_EQ(SerializeTableMutation(*back), wire);
-
-  QuerySeriesTokens s = RandSeries(rng);
-  Bytes swire = SerializeQuerySeries(s);
-  swire[0] = 6;
-  auto sback = DeserializeQuerySeries(swire);
-  ASSERT_TRUE(sback.ok()) << sback.status().ToString();
-  EXPECT_EQ(sback->session_id, s.session_id);
-  EXPECT_EQ(sback->queries.size(), s.queries.size());
-}
-
-TEST(WirePropertyTest, DistMessagesRejectPreV7Stamps) {
-  // A distributed-execution message stamped with any pre-v7 version must
-  // be refused: a v6 peer cannot have produced one, so the stamp marks a
-  // confused or malicious sender.
-  Rng rng(6400);
-  Bytes assign = SerializeShardAssignment(RandShardAssignment(rng));
-  Bytes ack = SerializeShardAck(RandShardAck(rng));
-  Bytes req = SerializeShardDecryptRequest(RandShardDecryptRequest(rng));
-  Bytes resp = SerializeShardDecryptResponse(RandShardDecryptResponse(rng));
-  Bytes mut = SerializeShardMutation(RandShardMutation(rng));
-  Bytes health = SerializeWorkerHealthInfo(RandWorkerHealthInfo(rng));
-  for (uint8_t version : {uint8_t{2}, uint8_t{6}}) {
-    assign[0] = ack[0] = req[0] = resp[0] = mut[0] = health[0] = version;
-    EXPECT_FALSE(DeserializeShardAssignment(assign).ok());
-    EXPECT_FALSE(DeserializeShardAck(ack).ok());
-    EXPECT_FALSE(DeserializeShardDecryptRequest(req).ok());
-    EXPECT_FALSE(DeserializeShardDecryptResponse(resp).ok());
-    EXPECT_FALSE(DeserializeShardMutation(mut).ok());
-    EXPECT_FALSE(DeserializeWorkerHealthInfo(health).ok());
+  EncryptedRow row = RandRow(rng, 1);
+  row.enc = {};
+  EncryptedTable table = RandTable(rng);
+  table.rows = {row};
+  TableMutation mutation;
+  mutation.table = "T";
+  mutation.inserts = {row};
+  Bytes table_wire = SerializeEncryptedTable(table);
+  Bytes mutation_wire = SerializeTableMutation(mutation);
+  for (Bytes* wire : {&table_wire, &mutation_wire}) {
+    ASSERT_EQ(wire->back(), 0x00);
+    wire->back() = 0x04;
   }
-}
-
-TEST(WirePropertyTest, ClientStampsBoundSessionIntoBatches) {
-  EncryptedClient client({.num_attrs = 1, .max_in_clause = 1,
-                          .rng_seed = 55});
-  Table t("T", Schema({{"k", ValueKind::kInt64}}));
-  ASSERT_TRUE(t.AppendRow({int64_t{1}}).ok());
-  auto enc = client.EncryptTable(t, "k");
-  ASSERT_TRUE(enc.ok());
-  client.BindSession(99);
-  JoinQuerySpec spec;
-  spec.table_a = spec.table_b = "T";
-  spec.join_column_a = spec.join_column_b = "k";
-  auto series = client.PrepareSeries({spec}, {&*enc});
-  ASSERT_TRUE(series.ok());
-  EXPECT_EQ(series->session_id, 99u);
-  auto del = client.PrepareDelete("T", {0});
-  ASSERT_TRUE(del.ok());
-  EXPECT_EQ(del->session_id, 99u);
-  Table fresh("T", enc->schema);
-  ASSERT_TRUE(fresh.AppendRow({int64_t{2}}).ok());
-  auto ins = client.PrepareInsert(*enc, fresh);
-  ASSERT_TRUE(ins.ok());
-  EXPECT_EQ(ins->session_id, 99u);
+  for (const Status& status :
+       {DeserializeEncryptedTable(table_wire).status(),
+        DeserializeTableMutation(mutation_wire).status()}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("unknown row encoding flags"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 }  // namespace
