@@ -11,17 +11,21 @@
 // shard on both workers: the fault-tolerant layout), a Coordinator with W
 // in-process ShardWorkers behind real loopback TcpServers runs the same
 // series in a loop: planning and merge stay local, the batched decrypt
-// slices travel the framed wire protocol to the owning workers.
+// requests travel the framed wire protocol to the owning workers, one per
+// (decrypt unit x failover chain) -- at R=1, one per unit and worker.
 // Replication costs upload-time copies, not decrypt-time work -- each
-// slice still goes to one (primary) replica, so R=2 throughput should
+// request still goes to one (primary) replica, so R=2 throughput should
 // track W=2 R=1 closely.
 //
-// Reported: series/s per configuration and the ratio to the single-node
-// baseline. Acceptance (exit 1 on failure): W=1 -- where delegation buys
-// nothing and costs one wire round-trip per table-shard unit -- must
-// stay >= 70% of single-node throughput. Env knobs: SJOIN_BENCH_FULL=1
+// Reported: series/s per configuration, the ratio to the single-node
+// baseline, and each worker's digests_computed over the run with their
+// max/mean (1.00 = the owner table split the work evenly). Acceptance
+// (exit 1 on failure): W=1 -- where delegation buys nothing and costs
+// one wire round-trip per decrypt unit -- must stay >= 70% of
+// single-node throughput. Env knobs: SJOIN_BENCH_FULL=1
 // for a larger table and longer wall budget; SJOIN_BENCH_DIST_SECONDS
 // for the per-phase budget.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -140,9 +144,26 @@ int main() {
     }
     SJOIN_CHECK(coord.StoreTable(*enc_x).ok());
     SJOIN_CHECK(coord.StoreTable(*enc_y).ok());
+    auto digests_computed = [&] {
+      std::vector<uint64_t> digests;
+      for (const std::string& id : coord.worker_ids()) {
+        auto health = coord.WorkerHealth(id);
+        SJOIN_CHECK(health.ok());
+        digests.push_back(health->digests_computed);
+      }
+      return digests;
+    };
+    const std::vector<uint64_t> digests_before = digests_computed();
     double qps = MeasureQps(seconds, [&] {
       SJOIN_CHECK(coord.ExecuteSeries(*series).ok());
     });
+    std::vector<uint64_t> digests = digests_computed();
+    uint64_t most = 0, total = 0;
+    for (size_t w = 0; w < digests.size(); ++w) {
+      digests[w] -= digests_before[w];
+      most = std::max(most, digests[w]);
+      total += digests[w];
+    }
     Coordinator::Stats st = coord.stats();
     SJOIN_CHECK(st.decrypt_rpcs > 0);   // the loop really delegated
     SJOIN_CHECK(st.local_fallback_units == 0);  // and nothing fell back
@@ -150,6 +171,14 @@ int main() {
                 "single-node, %llu decrypt rpcs)\n",
                 cfg.workers, cfg.replication, qps, 100.0 * qps / baseline_qps,
                 static_cast<unsigned long long>(st.decrypt_rpcs));
+    std::printf("    digests per worker:");
+    for (uint64_t d : digests) {
+      std::printf(" %llu", static_cast<unsigned long long>(d));
+    }
+    std::printf("   (max/mean %.2f)\n",
+                total > 0 ? static_cast<double>(most) * digests.size() /
+                                static_cast<double>(total)
+                          : 0.0);
     if (cfg.workers == 1 && cfg.replication == 1) w1_qps = qps;
   }
 

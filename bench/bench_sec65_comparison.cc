@@ -206,8 +206,11 @@ void JsonTimeline(const char* name, JoinSchemeBaseline* scheme,
 /// Measured per-row constants behind the BackendCostModel defaults.
 void JsonCalibration(double pairing_cold_ms) {
   // Warm pairing path: the same series twice on one server; the second
-  // run decrypts every row through the prepared cache.
-  ClientOptions copts{.num_attrs = 1, .max_in_clause = 1, .rng_seed = 9510};
+  // run decrypts every row through the prepared cache. Same dimension as
+  // the cold constant (MeasurePerRowDecMs), so the two compare.
+  ClientOptions copts{.num_attrs = benchutil::kPaperNumAttrs,
+                      .max_in_clause = 1,
+                      .rng_seed = 9510};
   EncryptedClient client(copts);
   auto [a, b] = MakeKeyedPair(24);
   auto enc_a = client.EncryptTable(a, "k");

@@ -6,9 +6,9 @@
 //
 // What this demonstrates (src/dist/, docs/ARCHITECTURE.md "Distributed
 // execution"):
-//  - placement: rows hash to K placement shards, shards map to workers
-//    by rendezvous hashing -- adding a worker moves (and re-uploads)
-//    only the shards it now owns;
+//  - placement: rows hash to K placement shards, and the coordinator's
+//    owner table spreads the shards evenly over the workers -- adding a
+//    worker moves (and re-uploads) only the shards it now owns;
 //  - delegation: planning, SSE pre-filters, SJ.Match and the leakage
 //    ledger stay on the coordinator; workers see only (ciphertext,
 //    token) decrypt slices, and the merged results are byte-identical
@@ -75,7 +75,7 @@ int main() {
   std::printf("cluster: w1 on :%u, w2 on :%u, %zu placement shards\n\n",
               w1.server.port(), w2.server.port(), coord.num_shards());
 
-  // --- Upload: each shard lands on its rendezvous owner --------------------
+  // --- Upload: each shard lands on its owner (8 of the 16 on each) ---------
   EncryptedClient client({.num_attrs = 1, .max_in_clause = 1, .rng_seed = 11});
   auto orders = client.EncryptTable(MakeTable("Orders", 12, 4), "k");
   auto customers = client.EncryptTable(MakeTable("Customers", 9, 4), "k");

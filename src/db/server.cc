@@ -654,22 +654,19 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
 
 Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
     const QuerySeriesTokens& series, const ServerExecOptions& opts,
-    size_t placement_shards, const ShardDecryptFn& decrypt) {
-  // Placement width is FIXED cluster-wide: the coordinator partitioned
-  // every table K ways by row digest at upload, so K is NOT re-clamped per
-  // table (a 3-row table under K = 8 leaves five shards empty) -- routing
-  // must match upload-time placement exactly. One RPC per (unit x shard)
-  // (rows_per_task = 0): fewer, bigger requests amortize the round trip.
-  const size_t k = std::min<size_t>(std::max<size_t>(placement_shards, 1),
-                                    ShardedTable::kMaxShards);
+    size_t groups, const RequestGroupFn& group_of,
+    const ShardDecryptFn& decrypt) {
+  // One call per (unit x group) (rows_per_task = 0): fewer, bigger
+  // requests amortize the round trip.
   PreparedRowCache* fallback_cache = SharedCache(opts);
   return RunSeries(
       series, opts,
       [&](const SeriesPlanState&) {
-        return Placement{series.queries.empty() ? 0 : k,
-                         [k](const EncryptedTable* t, size_t row) {
-                           return ShardedTable::ShardOfDigest(
-                               ShardedTable::RowDigest(t->rows[row]), k);
+        return Placement{series.queries.empty() ? 0 : groups,
+                         [&](const EncryptedTable* t, size_t row) {
+                           const size_t group = group_of(t->rows[row]);
+                           SJOIN_CHECK(group < groups);
+                           return group;
                          },
                          0};
       },

@@ -129,30 +129,36 @@ class EncryptedServer {
       const QuerySeriesTokens& series, const ServerExecOptions& opts = {});
 
   /// The SJ.Dec delegate of ExecuteJoinSeriesDelegated: answers one
-  /// (decrypt-unit x placement-shard) slice of the batched decrypt pass
-  /// -- in src/dist, a worker RPC. Invoked concurrently from pool
-  /// threads; a non-OK result fails the whole series with that status.
+  /// (decrypt-unit x request group) slice of the batched decrypt pass --
+  /// in src/dist, a worker RPC. The request's `shard` field carries the
+  /// group index. Invoked concurrently from pool threads; a non-OK result
+  /// fails the whole series with that status.
   using ShardDecryptFn =
       std::function<Result<ShardDecryptResponse>(const ShardDecryptRequest&)>;
+  /// The request group of a stored row, in [0, groups): which rows of a
+  /// decrypt unit travel in one delegate call. Must be a pure function of
+  /// the row.
+  using RequestGroupFn = std::function<size_t(const EncryptedRow&)>;
 
-  /// ExecuteJoinSeriesSharded with the SJ.Dec pass delegated slice by
-  /// slice: planning, dedup, SJ.Match, leakage and budget accounting all
-  /// run locally against this server's pinned snapshots, and only the
-  /// pairing work goes through `decrypt`. Rows are routed to placement
-  /// shards by ShardedTable::ShardOfDigest under a FIXED width
-  /// `placement_shards` (the cluster's K, not the per-table clamp --
-  /// uploads were partitioned under it, so routing must match). Digests
-  /// depend only on (ciphertext, token), never on where they were
-  /// computed, so per-query results are byte-identical to the local
-  /// sharded path (asserted by tests/dist_test.cc); stats report the
-  /// delegate's counters per placement shard. A row the delegate reports
-  /// missing (ShardDecryptResponse::have) is decrypted locally from the
-  /// pinned snapshot -- a worker that already applied a newer mutation
-  /// cannot skew a snapshot-isolated series. A response whose bitmap,
-  /// digest count or counters disagree fails the series with Internal.
+  /// The series executor with the SJ.Dec pass delegated slice by slice:
+  /// planning, dedup, SJ.Match, leakage and budget accounting all run
+  /// locally against this server's pinned snapshots, and only the pairing
+  /// work goes through `decrypt`. The caller decides which rows travel
+  /// together: one delegate call per (decrypt unit x request group) with
+  /// all of that unit's pending rows in the group (in src/dist, a group is
+  /// a failover chain). Digests depend only on (ciphertext, token), never
+  /// on where they were computed, so per-query results are byte-identical
+  /// to the local paths (asserted by tests/dist_test.cc); stats report
+  /// the delegate's counters per request group (shards = groups). A row
+  /// the delegate reports missing (ShardDecryptResponse::have) is
+  /// decrypted locally from the pinned snapshot -- a worker that already
+  /// applied a newer mutation cannot skew a snapshot-isolated series. A
+  /// response whose bitmap, digest count or counters disagree fails the
+  /// series with Internal.
   Result<EncryptedSeriesResult> ExecuteJoinSeriesDelegated(
       const QuerySeriesTokens& series, const ServerExecOptions& opts,
-      size_t placement_shards, const ShardDecryptFn& decrypt);
+      size_t groups, const RequestGroupFn& group_of,
+      const ShardDecryptFn& decrypt);
 
   // --- Concurrent session layer -------------------------------------------
   //

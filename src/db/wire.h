@@ -136,6 +136,8 @@ struct ShardDecryptRequest {
   /// The coordinator's pinned snapshot generation (diagnostic only: row
   /// content is immutable per stable id, so any held row is valid).
   uint64_t generation = 0;
+  /// The sender's request group of the rows (a coordinator's failover
+  /// chain index; diagnostic only: a worker looks rows up by stable id).
   uint32_t shard = 0;
   SjToken token;
   std::vector<StableRowId> rows;

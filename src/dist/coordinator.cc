@@ -1,6 +1,10 @@
 #include "dist/coordinator.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <tuple>
 #include <utility>
 
 #include "crypto/sha256.h"
@@ -9,11 +13,9 @@ namespace sjoin {
 
 namespace {
 
-/// Rendezvous weight of (shard, worker): the top-R owners are the R
-/// workers with the highest weights. Hash-derived, so ownership is
-/// deterministic across coordinators and stable under membership change
-/// -- a worker joining or leaving only moves the shard copies whose
-/// top-R argmax set it enters or leaves.
+/// Rendezvous weight of (shard, worker): the tie-breaker of every owner
+/// table decision below. Hash-derived, so equal membership histories
+/// build equal tables.
 uint64_t RendezvousScore(uint32_t shard, const std::string& worker_id) {
   WireWriter w;
   w.U32(shard);
@@ -24,6 +26,299 @@ uint64_t RendezvousScore(uint32_t shard, const std::string& worker_id) {
   return score;
 }
 
+/// Entry s: placement shard s's failover chain of worker ids, primary
+/// first, at most R long.
+using OwnerTable = std::vector<std::vector<std::string>>;
+
+bool Holds(const std::vector<std::string>& chain, const std::string& id) {
+  return std::find(chain.begin(), chain.end(), id) != chain.end();
+}
+
+/// Shard copies each of `workers` holds in `table` (0 for none).
+std::map<std::string, size_t> CopyCounts(
+    const OwnerTable& table, const std::vector<std::string>& workers) {
+  std::map<std::string, size_t> copies;
+  for (const std::string& id : workers) copies[id] = 0;
+  for (const auto& chain : table) {
+    for (const std::string& id : chain) {
+      auto it = copies.find(id);
+      if (it != copies.end()) ++it->second;
+    }
+  }
+  return copies;
+}
+
+/// Shards each of `workers` is the primary of in `table` (0 for none).
+std::map<std::string, size_t> PrimaryCounts(
+    const OwnerTable& table, const std::vector<std::string>& workers) {
+  std::map<std::string, size_t> primaries;
+  for (const std::string& id : workers) primaries[id] = 0;
+  for (const auto& chain : table) {
+    if (!chain.empty()) ++primaries[chain.front()];
+  }
+  return primaries;
+}
+
+/// Re-picks the primaries of the `touched` shards so that per-worker
+/// primary counts come out as even as those shards allow. While some
+/// worker reaches, through touched shards, a worker with at least two
+/// primaries fewer, every primary along that path moves one hop: the
+/// source loses one, the end gains one, the workers between keep their
+/// count. With no such path left, no reassignment of the touched
+/// primaries is more even (Harvey, Ladner, Lovasz and Tamir,
+/// "Semi-matchings for bipartite graphs and load balancing", 2006). The
+/// search runs in worker-id and shard order, so it is deterministic. A
+/// new primary moves to the front of its chain; the rest keep their order.
+void RebalancePrimaries(OwnerTable* table, const std::vector<uint32_t>& touched,
+                        const std::vector<std::string>& workers) {
+  std::map<std::string, size_t> primaries = PrimaryCounts(*table, workers);
+  std::map<std::string, size_t> copies = CopyCounts(*table, workers);
+  size_t most = 0;
+  for (const auto& [w, c] : copies) most = std::max(most, c);
+  // First moves that even the counts out; then, with the counts as even
+  // as they get, swaps that hand a surplus primary from a worker short
+  // of copies to one with the most copies. Those keep the counts but
+  // align the two surpluses, so the next newcomer, which takes copies
+  // from the most-loaded workers, also finds the surplus primaries.
+  for (const bool align : {false, true}) {
+    auto wanted = [&](const std::string& from, const std::string& to) {
+      if (!align) return primaries[to] + 2 <= primaries[from];
+      return primaries[to] + 1 == primaries[from] && copies[from] < most &&
+             copies[to] == most;
+    };
+    for (bool moved = true; moved;) {
+      moved = false;
+      std::vector<std::string> sources = workers;
+      std::stable_sort(sources.begin(), sources.end(),
+                       [&](const std::string& a, const std::string& b) {
+                         return primaries[a] > primaries[b];
+                       });
+      for (const std::string& source : sources) {
+        // Breadth-first over "x is the primary of touched shard s and y
+        // also holds s", recording via[y] = (x, s).
+        std::map<std::string, std::pair<std::string, uint32_t>> via;
+        via.emplace(source, std::make_pair(source, 0u));
+        std::deque<std::string> frontier{source};
+        std::string end;
+        while (!frontier.empty() && end.empty()) {
+          const std::string x = frontier.front();
+          frontier.pop_front();
+          for (uint32_t s : touched) {
+            const std::vector<std::string>& chain = (*table)[s];
+            if (chain.empty() || chain.front() != x) continue;
+            for (const std::string& y : chain) {
+              if (!via.emplace(y, std::make_pair(x, s)).second) continue;
+              if (wanted(source, y)) {
+                end = y;
+                break;
+              }
+              frontier.push_back(y);
+            }
+            if (!end.empty()) break;
+          }
+        }
+        if (end.empty()) continue;
+        for (std::string y = end; y != source;) {
+          const auto [x, s] = via.at(y);
+          std::vector<std::string>& chain = (*table)[s];
+          auto it = std::find(chain.begin(), chain.end(), y);
+          std::rotate(chain.begin(), it, it + 1);
+          y = x;
+        }
+        --primaries[source];
+        ++primaries[end];
+        moved = true;
+        break;
+      }
+    }
+  }
+}
+
+/// How far `table` is from even primaries, smaller is better: counts
+/// more than one apart; then workers holding a surplus primary but no
+/// surplus copy (a later newcomer takes copies only from the most-loaded
+/// workers, so it may never reach such a surplus); then the sum of
+/// squared counts.
+std::tuple<bool, size_t, size_t> Unevenness(
+    const OwnerTable& table, const std::vector<std::string>& workers) {
+  std::map<std::string, size_t> copies = CopyCounts(table, workers);
+  std::map<std::string, size_t> primaries = PrimaryCounts(table, workers);
+  size_t copies_lo = SIZE_MAX, copies_hi = 0, lo = SIZE_MAX, hi = 0;
+  size_t squares = 0;
+  for (const std::string& w : workers) {
+    copies_lo = std::min(copies_lo, copies[w]);
+    copies_hi = std::max(copies_hi, copies[w]);
+    lo = std::min(lo, primaries[w]);
+    hi = std::max(hi, primaries[w]);
+    squares += primaries[w] * primaries[w];
+  }
+  size_t stranded = 0;
+  for (const std::string& w : workers) {
+    if (lo < hi && primaries[w] == hi && copies[w] < copies_hi) ++stranded;
+  }
+  return {hi > lo + 1, stranded, squares};
+}
+
+/// Complete sequences of takes PlaceNewcomer scores at most.
+constexpr size_t kPlacementTries = 128;
+
+/// Places newcomer `id` (already counted in `workers`) with
+/// floor(K * min(R, W) / W) copies: free replica slots first (while
+/// W <= R that is every shard), then one copy at a time from a
+/// most-loaded worker, in a shard the newcomer does not hold yet, taking
+/// over that worker's slot. Only the newcomer gains copies, and only the
+/// shards it joins change; their primaries are re-picked
+/// (RebalancePrimaries).
+///
+/// Which slot to take next: first a slot at a chain position where the
+/// victim holds more than its fair share and the newcomer less than its
+/// cap; then the shard whose primary holds the most primaries (joining
+/// it opens a path for that surplus); then the shard the newcomer's
+/// rendezvous score ranks first; then the earlier chain position. That
+/// greedy sequence is tried first. When it leaves Unevenness() short of
+/// even, aligned primaries, sequences that depart from it at one take
+/// are tried too, depth first, and the evenest of at most
+/// kPlacementTries is kept. At R = 1 the greedy sequence is always even.
+/// Returns the shards the newcomer joined.
+std::vector<uint32_t> PlaceNewcomer(OwnerTable* table,
+                                    const std::vector<std::string>& workers,
+                                    const std::string& id, size_t replication) {
+  const size_t k = table->size();
+  const size_t target =
+      k * std::min(replication, workers.size()) / workers.size();
+  const size_t fair = k / workers.size();
+  const size_t cap = (k + workers.size() - 1) / workers.size();
+  std::vector<uint64_t> score(k);
+  for (uint32_t s = 0; s < k; ++s) score[s] = RendezvousScore(s, id);
+  std::vector<uint32_t> order(k);
+  for (uint32_t s = 0; s < k; ++s) order[s] = s;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](uint32_t a, uint32_t b) { return score[a] > score[b]; });
+  std::map<std::string, size_t> copies = CopyCounts(*table, workers);
+  for (uint32_t s : order) {
+    if (copies[id] == target) break;
+    if ((*table)[s].size() < replication) {
+      (*table)[s].push_back(id);
+      ++copies[id];
+    }
+  }
+  // layer[j][w]: shards in which worker w sits at chain position j.
+  std::vector<std::map<std::string, size_t>> layer(replication);
+  for (const auto& chain : *table) {
+    for (size_t j = 0; j < chain.size(); ++j) ++layer[j][chain[j]];
+  }
+  struct Take {
+    bool good;
+    size_t primary_load;
+    uint32_t shard;
+    size_t pos;
+  };
+  auto candidates = [&] {
+    size_t most = 0;
+    for (const auto& [w, c] : copies) {
+      if (w != id) most = std::max(most, c);
+    }
+    std::vector<Take> next;
+    for (uint32_t s : order) {
+      const std::vector<std::string>& chain = (*table)[s];
+      if (Holds(chain, id)) continue;
+      for (size_t j = 0; j < chain.size(); ++j) {
+        if (copies[chain[j]] != most) continue;
+        next.push_back({layer[j][chain[j]] > fair && layer[j][id] < cap,
+                        layer[0][chain.front()], s, j});
+      }
+    }
+    std::stable_sort(next.begin(), next.end(),
+                     [](const Take& a, const Take& b) {
+                       return std::tie(a.good, a.primary_load) >
+                              std::tie(b.good, b.primary_load);
+                     });
+    return next;
+  };
+
+  OwnerTable best;
+  std::tuple<bool, size_t, size_t> best_unevenness;
+  size_t tries = 0;
+  std::function<void(bool)> extend = [&](bool departed) {
+    std::vector<Take> next;
+    if (copies[id] < target) next = candidates();
+    if (next.empty()) {
+      OwnerTable placed = *table;
+      std::vector<uint32_t> joined;
+      for (uint32_t s = 0; s < k; ++s) {
+        if (Holds(placed[s], id)) joined.push_back(s);
+      }
+      RebalancePrimaries(&placed, joined, workers);
+      auto unevenness = Unevenness(placed, workers);
+      if (tries++ == 0 || unevenness < best_unevenness) {
+        best = std::move(placed);
+        best_unevenness = unevenness;
+      }
+      const bool settled =
+          !std::get<0>(unevenness) && std::get<1>(unevenness) == 0;
+      if (settled) tries = kPlacementTries;
+      return;
+    }
+    for (size_t i = 0; i < next.size() && tries < kPlacementTries; ++i) {
+      if (i > 0 && departed) break;
+      std::string& slot = (*table)[next[i].shard][next[i].pos];
+      const std::string victim = slot;
+      --copies[victim];
+      --layer[next[i].pos][victim];
+      slot = id;
+      ++copies[id];
+      ++layer[next[i].pos][id];
+      extend(departed || i > 0);
+      --copies[id];
+      --layer[next[i].pos][id];
+      slot = victim;
+      ++copies[victim];
+      ++layer[next[i].pos][victim];
+    }
+  };
+  extend(false);
+  *table = std::move(best);
+  std::vector<uint32_t> joined;
+  for (uint32_t s = 0; s < k; ++s) {
+    if (Holds((*table)[s], id)) joined.push_back(s);
+  }
+  return joined;
+}
+
+/// Hands each copy `leaver` held to a least-loaded worker of `workers`
+/// (the leaver no longer among them) that lacks that shard, in the
+/// leaver's slot; with no such worker the chain just shrinks. Only the
+/// leaver's shards change; their primaries are then re-picked.
+void ReplaceLeaver(OwnerTable* table, const std::vector<std::string>& workers,
+                   const std::string& leaver) {
+  std::map<std::string, size_t> copies = CopyCounts(*table, workers);
+  std::vector<uint32_t> touched;
+  for (uint32_t s = 0; s < table->size(); ++s) {
+    std::vector<std::string>& chain = (*table)[s];
+    auto slot = std::find(chain.begin(), chain.end(), leaver);
+    if (slot == chain.end()) continue;
+    touched.push_back(s);
+    const std::string* heir = nullptr;
+    uint64_t heir_score = 0;
+    for (const std::string& w : workers) {
+      if (Holds(chain, w)) continue;
+      const uint64_t score = RendezvousScore(s, w);
+      if (heir == nullptr || copies[w] < copies[*heir] ||
+          (copies[w] == copies[*heir] && score > heir_score)) {
+        heir = &w;
+        heir_score = score;
+      }
+    }
+    if (heir == nullptr) {
+      chain.erase(slot);
+    } else {
+      *slot = *heir;
+      ++copies[*heir];
+    }
+  }
+  RebalancePrimaries(table, touched, workers);
+}
+
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorOptions opts)
@@ -32,6 +327,7 @@ Coordinator::Coordinator(CoordinatorOptions opts)
       replication_(std::min<size_t>(std::max<size_t>(opts.replication, 1),
                                     ShardedTable::kMaxShards)),
       opts_(std::move(opts)),
+      owners_(num_shards_),
       rng_(std::random_device{}()) {
   if (opts_.auto_reconnect) {
     reconnect_thread_ = std::thread([this] { ReconnectLoop(); });
@@ -47,29 +343,18 @@ Coordinator::~Coordinator() {
   if (reconnect_thread_.joinable()) reconnect_thread_.join();
 }
 
-std::vector<std::shared_ptr<Coordinator::Worker>> Coordinator::OwnersAmong(
-    uint32_t shard,
-    const std::map<std::string, std::shared_ptr<Worker>>& workers,
-    size_t replication) {
-  // Ascending map order + strict '>' sort stability: a score tie
-  // resolves to the lexicographically smallest id, deterministically.
-  std::vector<std::pair<uint64_t, std::shared_ptr<Worker>>> scored;
-  scored.reserve(workers.size());
-  for (const auto& [id, w] : workers) {
-    scored.emplace_back(RendezvousScore(shard, id), w);
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  size_t r = std::min(replication, scored.size());
-  std::vector<std::shared_ptr<Worker>> owners;
-  owners.reserve(r);
-  for (size_t i = 0; i < r; ++i) owners.push_back(scored[i].second);
-  return owners;
+std::vector<std::shared_ptr<Coordinator::Worker>> Coordinator::ChainLocked(
+    uint32_t shard) const {
+  std::vector<std::shared_ptr<Worker>> chain;
+  for (const std::string& id : owners_[shard]) chain.push_back(workers_.at(id));
+  return chain;
 }
 
-bool Coordinator::Among(const std::vector<std::shared_ptr<Worker>>& owners,
-                        const std::shared_ptr<Worker>& w) {
-  return std::find(owners.begin(), owners.end(), w) != owners.end();
+std::vector<std::string> Coordinator::WorkerIdsLocked() const {
+  std::vector<std::string> ids;
+  ids.reserve(workers_.size());
+  for (const auto& [id, w] : workers_) ids.push_back(id);
+  return ids;
 }
 
 void Coordinator::MarkUnhealthy(Worker& w) {
@@ -245,19 +530,17 @@ Status Coordinator::StoreTable(EncryptedTable table) {
         ShardedTable::ShardOfDigest(
             ShardedTable::RowDigest(snap->table->rows[p]), num_shards_));
   }
-  std::map<std::string, std::shared_ptr<Worker>> workers;
+  std::vector<std::vector<std::shared_ptr<Worker>>> chains;
   {
     std::lock_guard<std::mutex> lock(mu_);
     row_shard_[name] = std::move(shards);
-    workers = workers_;
+    for (uint32_t s = 0; s < num_shards_; ++s) chains.push_back(ChainLocked(s));
   }
   // Every replica of every shard; a down or failing owner queues its
   // copy for the heal instead of failing the store (the local engine is
   // authoritative regardless).
-  for (uint32_t s = 0; s < num_shards_ && !workers.empty(); ++s) {
-    for (const auto& owner : OwnersAmong(s, workers, replication_)) {
-      (void)UploadShard(*owner, name, s);
-    }
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    for (const auto& owner : chains[s]) (void)UploadShard(*owner, name, s);
   }
   return Status::OK();
 }
@@ -272,32 +555,35 @@ Status Coordinator::AddWorker(const std::string& id, const std::string& host,
   w->host = host;
   w->port = port;
   w->client = std::make_unique<TcpClient>(std::move(*client));
-  std::map<std::string, std::shared_ptr<Worker>> before, after;
+  // (shard the newcomer joined, the owners it displaced there)
+  std::vector<std::pair<uint32_t, std::vector<std::shared_ptr<Worker>>>> moves;
   std::vector<std::string> tables;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (workers_.count(id)) {
       return Status::AlreadyExists("worker '" + id + "' already registered");
     }
-    before = workers_;
+    const OwnerTable before = owners_;
     workers_[id] = w;
-    after = workers_;
+    for (uint32_t s : PlaceNewcomer(&owners_, WorkerIdsLocked(), id,
+                                    replication_)) {
+      std::vector<std::shared_ptr<Worker>> displaced;
+      for (const std::string& old : before[s]) {
+        if (!Holds(owners_[s], old)) displaced.push_back(workers_.at(old));
+      }
+      moves.emplace_back(s, std::move(displaced));
+    }
     for (const auto& [t, shards] : row_shard_) tables.push_back(t);
   }
-  // Rebalance: exactly the shard copies whose top-R rendezvous set the
-  // new worker enters move to it; the owners it displaces drop them. An
-  // upload failure queues the copy for the heal -- the worker stays
-  // registered either way (never a half-rebalanced cluster: reads are
-  // covered by replicas or local fallback until the heal lands).
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    auto owners_after = OwnersAmong(s, after, replication_);
-    if (!Among(owners_after, w)) continue;
-    auto owners_before = OwnersAmong(s, before, replication_);
+  // Rebalance: exactly the shard copies the owner table gave the new
+  // worker move to it; the owners it displaced drop them. An upload
+  // failure queues the copy for the heal -- the worker stays registered
+  // either way (never a half-rebalanced cluster: reads are covered by
+  // replicas or local fallback until the heal lands).
+  for (const auto& [s, displaced] : moves) {
     for (const std::string& t : tables) {
       (void)UploadShard(*w, t, s);
-      for (const auto& old : owners_before) {
-        if (!Among(owners_after, old)) (void)DropShard(*old, t, s);
-      }
+      for (const auto& old : displaced) (void)DropShard(*old, t, s);
     }
   }
   return Status::OK();
@@ -306,7 +592,8 @@ Status Coordinator::AddWorker(const std::string& id, const std::string& host,
 Status Coordinator::RemoveWorker(const std::string& id) {
   std::lock_guard<std::mutex> data(data_mu_);
   std::shared_ptr<Worker> w;
-  std::map<std::string, std::shared_ptr<Worker>> before, after;
+  // (shard the removed worker held, the owners that took its copy)
+  std::vector<std::pair<uint32_t, std::vector<std::shared_ptr<Worker>>>> moves;
   std::vector<std::string> tables;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -315,9 +602,17 @@ Status Coordinator::RemoveWorker(const std::string& id) {
       return Status::NotFound("worker '" + id + "' is not registered");
     }
     w = it->second;
-    before = workers_;
+    const OwnerTable before = owners_;
     workers_.erase(it);
-    after = workers_;
+    ReplaceLeaver(&owners_, WorkerIdsLocked(), id);
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      if (!Holds(before[s], id)) continue;
+      std::vector<std::shared_ptr<Worker>> heirs;
+      for (const std::string& owner : owners_[s]) {
+        if (!Holds(before[s], owner)) heirs.push_back(workers_.at(owner));
+      }
+      moves.emplace_back(s, std::move(heirs));
+    }
     for (const auto& [t, shards] : row_shard_) tables.push_back(t);
   }
   {
@@ -328,25 +623,18 @@ Status Coordinator::RemoveWorker(const std::string& id) {
     if (w->client) w->client->Close();
   }
   // Re-home exactly the shard copies the removed worker owned: the
-  // worker entering each affected top-R set receives an upload.
-  for (uint32_t s = 0; s < num_shards_ && !after.empty(); ++s) {
-    auto owners_before = OwnersAmong(s, before, replication_);
-    if (!Among(owners_before, w)) continue;
-    for (const auto& entrant : OwnersAmong(s, after, replication_)) {
-      if (Among(owners_before, entrant)) continue;
-      for (const std::string& t : tables) {
-        (void)UploadShard(*entrant, t, s);
-      }
+  // worker that took each copy receives an upload.
+  for (const auto& [s, heirs] : moves) {
+    for (const auto& heir : heirs) {
+      for (const std::string& t : tables) (void)UploadShard(*heir, t, s);
     }
   }
   return Status::OK();
 }
 
 std::vector<std::string> Coordinator::worker_ids() const {
-  std::vector<std::string> ids;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, w] : workers_) ids.push_back(id);
-  return ids;
+  return WorkerIdsLocked();
 }
 
 Result<WorkerHealthInfo> Coordinator::WorkerHealth(const std::string& id) {
@@ -403,7 +691,7 @@ Result<MutationResult> Coordinator::ApplyMutation(
       if (it == shards.end()) continue;
       uint32_t s = it->second;
       shards.erase(it);
-      for (const auto& owner : OwnersAmong(s, workers_, replication_)) {
+      for (const auto& owner : ChainLocked(s)) {
         Slice& slice = slices[owner];
         slice.m.deletes.push_back(id);
         slice.shards.insert(s);
@@ -412,8 +700,7 @@ Result<MutationResult> Coordinator::ApplyMutation(
     for (size_t i = 0; i < mutation.inserts.size(); ++i) {
       StableRowId id = result->inserted_ids[i];
       shards[id] = insert_shards[i];
-      for (const auto& owner :
-           OwnersAmong(insert_shards[i], workers_, replication_)) {
+      for (const auto& owner : ChainLocked(insert_shards[i])) {
         Slice& slice = slices[owner];
         slice.m.insert_ids.push_back(id);
         slice.m.insert_shards.push_back(insert_shards[i]);
@@ -455,14 +742,29 @@ Result<MutationResult> Coordinator::ApplyMutation(
 
 Result<EncryptedSeriesResult> Coordinator::ExecuteSeries(
     const QuerySeriesTokens& series) {
+  // One snapshot of every shard's failover chain for the whole series.
+  // Shards with the same chain form one request group: every row of a
+  // decrypt unit whose shard has that chain travels in one request, so
+  // at R = 1 a unit costs one RPC per worker, not one per shard.
+  std::vector<std::vector<std::shared_ptr<Worker>>> chains;
+  std::vector<size_t> chain_of(num_shards_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::map<std::vector<std::string>, size_t> index;
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      auto [it, fresh] = index.emplace(owners_[s], chains.size());
+      if (fresh) chains.push_back(ChainLocked(s));
+      chain_of[s] = it->second;
+    }
+  }
   return engine_.ExecuteJoinSeriesDelegated(
-      series, opts_.exec, num_shards_,
-      [this](const ShardDecryptRequest& req) -> Result<ShardDecryptResponse> {
-        std::vector<std::shared_ptr<Worker>> owners;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          owners = OwnersAmong(req.shard, workers_, replication_);
-        }
+      series, opts_.exec, chains.size(),
+      [&](const EncryptedRow& row) {
+        return chain_of[ShardedTable::ShardOfDigest(
+            ShardedTable::RowDigest(row), num_shards_)];
+      },
+      [&](const ShardDecryptRequest& req) -> Result<ShardDecryptResponse> {
+        const std::vector<std::shared_ptr<Worker>>& owners = chains[req.shard];
         const Bytes payload = SerializeShardDecryptRequest(req);
         for (size_t i = 0; i < owners.size(); ++i) {
           Worker& w = *owners[i];
@@ -499,10 +801,9 @@ Result<EncryptedSeriesResult> Coordinator::ExecuteSeries(
           if (resp.status().code() == StatusCode::kDeadlineExceeded) {
             return resp.status();
           }
-          // Unavailable: fall through to the next replica in rendezvous
-          // order.
+          // Unavailable: fall through to the next replica of the chain.
         }
-        // Every replica of the shard is down, or the cluster has no
+        // Every replica of the chain is down, or the cluster has no
         // workers at all: decrypt the slice coordinator-locally from the
         // pinned snapshot. An all-zero presence bitmap routes every row
         // to the delegated executor's local-fallback path --
@@ -535,21 +836,22 @@ Result<uint32_t> Coordinator::ShardOfRow(const std::string& table,
 }
 
 Result<std::string> Coordinator::OwnerOfShard(uint32_t shard) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto owners = OwnersAmong(shard, workers_, 1);
-  if (owners.empty()) return Status::NotFound("no workers registered");
-  return owners.front()->id;
+  auto owners = OwnersOfShard(shard);
+  SJOIN_RETURN_IF_ERROR(owners.status());
+  return owners->front();
 }
 
 Result<std::vector<std::string>> Coordinator::OwnersOfShard(
     uint32_t shard) const {
+  if (shard >= num_shards_) {
+    return Status::OutOfRange("shard " + std::to_string(shard) +
+                              " is outside the " +
+                              std::to_string(num_shards_) +
+                              " placement shards");
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  auto owners = OwnersAmong(shard, workers_, replication_);
-  if (owners.empty()) return Status::NotFound("no workers registered");
-  std::vector<std::string> ids;
-  ids.reserve(owners.size());
-  for (const auto& w : owners) ids.push_back(w->id);
-  return ids;
+  if (owners_[shard].empty()) return Status::NotFound("no workers registered");
+  return owners_[shard];
 }
 
 Coordinator::Stats Coordinator::stats() const {
@@ -630,7 +932,7 @@ void Coordinator::TryReconnect(const std::shared_ptr<Worker>& w) {
     bool owned;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      owned = Among(OwnersAmong(shard, workers_, replication_), w);
+      owned = Holds(owners_[shard], w->id);
     }
     Status st = owned ? SendShard(*w, table, shard, /*skip_empty=*/false,
                                   /*force=*/true)

@@ -9,17 +9,27 @@
 //
 // Placement: every stored row is hashed to one of K placement shards
 // (ShardedTable::RowDigest -> ShardOfDigest, K = CoordinatorOptions::
-// num_shards, fixed for the coordinator's lifetime); shards are mapped to
-// workers by rendezvous (highest-random-weight) hashing. With
-// CoordinatorOptions::replication = R, each shard lives on the top-R
-// rendezvous workers, so adding or removing one worker moves only the
-// shards whose top-R set changed -- membership changes re-upload exactly
-// the moved copies, nothing else.
+// num_shards, fixed for the coordinator's lifetime). An owner table maps
+// each shard to its failover chain: at most R = CoordinatorOptions::
+// replication worker ids, primary first. The table is kept balanced
+// under membership change -- per-worker copy counts within one of each
+// other at R = 1, primaries spread as evenly as the moved shards allow --
+// while moving only what must move: an added worker takes copies from
+// the most-loaded workers (only it gains shards), a removed worker's
+// copies go to the least-loaded workers lacking them (only its shards
+// move). Membership changes re-upload exactly the moved copies, nothing
+// else. Ties break by a rendezvous hash of (shard, worker id), so the
+// table is a deterministic function of this coordinator's membership
+// history -- not of the membership alone.
+//
+// A series sends one decrypt RPC per (decrypt unit x failover chain): the
+// rows of one unit whose shards share a chain travel together (at R = 1,
+// one RPC per unit and worker).
 //
 // Fault model (resilient, not fail-fast): a worker RPC that fails at the
 // transport (connect, torn frame, EOF mid-response) marks the worker
-// UNHEALTHY; decrypt slices fail over to the next replica in rendezvous
-// order, and when every replica of a shard is down the slice's rows are
+// UNHEALTHY; decrypt requests fail over to the next replica of their
+// chain, and when every replica of a chain is down the request's rows are
 // decrypted coordinator-locally from the pinned snapshot -- the series
 // completes either way, byte-identical by construction. A worker that
 // stalls past the client io timeout still surfaces as DeadlineExceeded
@@ -56,13 +66,16 @@ struct CoordinatorOptions {
   /// Cluster placement width K: every table is partitioned K ways by row
   /// digest at upload time, and series routing must agree -- so K is
   /// fixed for the coordinator's lifetime (clamped to [1, kMaxShards]).
-  /// More shards than workers is deliberate: rebalance granularity is a
-  /// shard, so K >= a few x the expected worker count keeps moves small.
+  /// K costs no RPCs (a series sends one per decrypt unit and failover
+  /// chain, whatever K is); it sets the balance grain: per-worker loads
+  /// come out within one shard's worth of rows, so K >= a few x the
+  /// expected worker count keeps workers even and membership moves small.
   size_t num_shards = 8;
-  /// Replication factor R: each shard is uploaded to the top-R rendezvous
-  /// workers (clamped to [1, num_shards]; effectively min(R, workers)).
-  /// R = 1 is the PR-8 single-owner layout; R = 2 survives any single
-  /// worker loss without touching the coordinator's pairing budget.
+  /// Replication factor R: each shard is uploaded to the R workers of its
+  /// owner-table chain (clamped to [1, kMaxShards]; effectively
+  /// min(R, workers)). R = 1 is the single-owner layout; R = 2 survives
+  /// any single worker loss without touching the coordinator's pairing
+  /// budget.
   size_t replication = 1;
   /// Background re-dial of unhealthy workers. Off, a worker that failed
   /// an RPC stays out of rotation until it is RemoveWorker'd/re-added;
@@ -94,7 +107,7 @@ class Coordinator {
   // --- Data plane ----------------------------------------------------------
 
   /// Stores the table in the local engine, computes its row -> placement
-  /// shard map, and uploads each shard to its top-R owning workers.
+  /// shard map, and uploads each shard to every worker of its chain.
   /// Unreachable owners do not fail the store: their copies are queued
   /// for the reconnect heal (stats().shards_queued) and their reads are
   /// covered by replicas or local fallback meanwhile.
@@ -109,25 +122,31 @@ class Coordinator {
   Result<MutationResult> ApplyMutation(const TableMutation& mutation);
 
   /// Executes the series with the SJ.Dec pass delegated to the workers
-  /// (EncryptedServer::ExecuteJoinSeriesDelegated). Each decrypt slice
-  /// tries its shard's replicas in rendezvous order; with every replica
-  /// down -- or no healthy worker registered at all -- the slice is
-  /// decrypted locally (counted in stats().local_fallback_*).
+  /// (EncryptedServer::ExecuteJoinSeriesDelegated). The failover chains
+  /// are read once per series; each decrypt unit sends one request per
+  /// chain among its rows' shards, which tries the chain's replicas in
+  /// order. With every replica down -- or no healthy worker registered at
+  /// all -- the request's rows are decrypted locally (counted in
+  /// stats().local_fallback_*). The result's in-process shards /
+  /// shard_stats report one entry per chain, not per placement shard.
   Result<EncryptedSeriesResult> ExecuteSeries(const QuerySeriesTokens& series);
 
   // --- Membership ----------------------------------------------------------
 
-  /// Connects to a worker TcpServer and rebalances: shard copies whose
-  /// top-R rendezvous set now includes `id` are uploaded to it and
-  /// dropped from the owners they displaced. AlreadyExists on a taken
+  /// Connects to a worker TcpServer and rebalances: the newcomer takes
+  /// floor(K * min(R, W) / W) shard copies (W counting it) -- free
+  /// replica slots first, then slots of the most-loaded workers -- which
+  /// are uploaded to it and dropped from the owners it displaced; the
+  /// primaries of those shards are re-picked. AlreadyExists on a taken
   /// id; a failed connect does NOT register the worker. Upload failures
   /// after a successful connect do not fail the add -- the missed shards
   /// are queued for the reconnect heal (the half-rebalanced-cluster
   /// regression in tests/dist_test.cc pins this).
   Status AddWorker(const std::string& id, const std::string& host,
                    uint16_t port);
-  /// Disconnects `id` and re-uploads the shard copies it owned to the
-  /// workers entering their top-R sets. NotFound for unknown ids. Also
+  /// Disconnects `id` and re-uploads each shard copy it owned to a
+  /// least-loaded worker lacking that shard (no other shard moves; the
+  /// primaries of those shards are re-picked). NotFound for unknown ids. Also
   /// the hard-recovery path for a permanently dead worker (the reconnect
   /// loop stops dialing it once removed).
   Status RemoveWorker(const std::string& id);
@@ -142,10 +161,11 @@ class Coordinator {
 
   /// Placement shard of a stored row; NotFound for unknown table/id.
   Result<uint32_t> ShardOfRow(const std::string& table, StableRowId id) const;
-  /// Primary rendezvous owner of a shard; NotFound with no workers.
+  /// Primary owner of a shard; OutOfRange for shard >= num_shards(),
+  /// NotFound with no workers.
   Result<std::string> OwnerOfShard(uint32_t shard) const;
-  /// All replicas of a shard in rendezvous (failover) order, primary
-  /// first; NotFound with no workers registered.
+  /// The shard's failover chain from the owner table, primary first;
+  /// OutOfRange for shard >= num_shards(), NotFound with no workers.
   Result<std::vector<std::string>> OwnersOfShard(uint32_t shard) const;
   size_t num_shards() const { return num_shards_; }
   size_t replication() const { return replication_; }
@@ -200,17 +220,10 @@ class Coordinator {
     std::set<std::pair<std::string, uint32_t>> dirty;  // (table, shard)
   };
 
-  /// Top-`replication` rendezvous owners of `shard` among `workers`,
-  /// primary first (highest Sha256(shard, id) score; ties resolve to the
-  /// lexicographically smaller id). Deterministic, so ownership is
-  /// stable across coordinators, and minimal-movement under membership
-  /// change. Empty when `workers` is empty.
-  static std::vector<std::shared_ptr<Worker>> OwnersAmong(
-      uint32_t shard,
-      const std::map<std::string, std::shared_ptr<Worker>>& workers,
-      size_t replication);
-  static bool Among(const std::vector<std::shared_ptr<Worker>>& owners,
-                    const std::shared_ptr<Worker>& w);
+  /// The workers of owners_[shard], primary first. Caller holds mu_.
+  std::vector<std::shared_ptr<Worker>> ChainLocked(uint32_t shard) const;
+  /// Registered worker ids in id order. Caller holds mu_.
+  std::vector<std::string> WorkerIdsLocked() const;
 
   /// One framed request/response exchange on `w`, serialized by w->mu.
   /// Transport failures close the connection, mark the worker unhealthy,
@@ -256,10 +269,15 @@ class Coordinator {
   const CoordinatorOptions opts_;
   EncryptedServer engine_;
 
-  mutable std::mutex mu_;  // workers_, row_shard_, stats_, rng_, Worker
-                           // reconnect bookkeeping. NEVER held while
-                           // acquiring a Worker::mu (the reverse holds).
+  mutable std::mutex mu_;  // workers_, owners_, row_shard_, stats_, rng_,
+                           // Worker reconnect bookkeeping. NEVER held
+                           // while acquiring a Worker::mu (the reverse
+                           // holds).
   std::map<std::string, std::shared_ptr<Worker>> workers_;
+  /// The owner table: entry s is placement shard s's failover chain of
+  /// registered worker ids, primary first, min(R, workers) long. Only
+  /// AddWorker and RemoveWorker change it (see coordinator.cc).
+  std::vector<std::vector<std::string>> owners_;
   /// Stable id -> placement shard per table (authoritative copy of what
   /// was uploaded; mutation routing and the test hooks read it).
   std::map<std::string, std::map<StableRowId, uint32_t>> row_shard_;

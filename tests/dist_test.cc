@@ -6,12 +6,19 @@
 //    ExecuteJoinSeriesSharded, for W in {1, 2, 3, 5}, cold and warm
 //    worker caches, and with zero workers (local fallback).
 //  - Replication: with CoordinatorOptions::replication = R every shard
-//    lands on its top-R rendezvous workers (inventories sum to
-//    min(R, W) x rows), membership changes move only the copies whose
-//    top-R set changed, and the R x W sweep stays byte-identical.
+//    lands on every worker of its owner-table chain (inventories sum to
+//    min(R, W) x rows), membership changes move only the copies the
+//    newcomer takes or the leaver held, and the R x W sweep stays
+//    byte-identical.
+//  - Placement: the owner table keeps per-worker shard counts within one
+//    over random add/remove histories at R = 1 (and copy and primary
+//    counts within one over add-only histories at R = 2), splits K = 8
+//    evenly over the benchmarks' two and four workers, rejects shards
+//    >= K, and a series sends one decrypt RPC per (decrypt unit x
+//    owning worker) at R = 1.
 //  - Failover: a worker that dies mid-series (scripted FakeWorker or a
 //    real TcpServer killed under load) no longer fails the series --
-//    decrypts fail over to the next replica in rendezvous order and,
+//    decrypts fail over to the next replica of their chain and,
 //    with every replica down, to coordinator-local decrypts, always
 //    byte-identical to single-node. A stalled worker still surfaces as
 //    DeadlineExceeded within the client io timeout (slow != dead). A
@@ -23,9 +30,9 @@
 //    re-dial the worker's inventory is exact and its surviving
 //    prepared rows are still warm.
 //  - Membership: adding/removing a worker re-uploads exactly the moved
-//    shards (rendezvous hashing; asserted against the coordinator's
-//    upload/drop counters and the workers' per-shard holdings), and
-//    series stay byte-identical after every rebalance.
+//    shards (asserted against the coordinator's upload/drop counters
+//    and the workers' per-shard holdings), and series stay
+//    byte-identical after every rebalance.
 //  - Mutation routing: a mutation's deletes and inserts land on exactly
 //    the workers owning their placement shards, worker inventories sum
 //    to the table's row count, and a worker that silently lost rows
@@ -49,6 +56,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -412,14 +420,14 @@ TEST(DistByteIdentity, ZeroWorkersFallBackToLocalExecution) {
   EXPECT_EQ(env.coord->stats().decrypt_rpcs, 0u);
   EXPECT_EQ(env.coord->stats().shard_uploads, 0u);
   // Both runs took the delegated path with no owner for any shard: every
-  // decrypted row went through the local fallback, reported under the
-  // cluster's fixed placement K.
+  // decrypted row went through the local fallback, reported per failover
+  // chain -- and with no workers every shard shares the one empty chain.
   auto again = env.coord->ExecuteSeries(series);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_GT(again->stats.decrypts_performed, 0u);
   EXPECT_EQ(env.coord->stats().local_fallback_rows,
             2 * again->stats.decrypts_performed);
-  EXPECT_EQ(again->stats.shards, env.coord->num_shards());
+  EXPECT_EQ(again->stats.shards, 1u);
 }
 
 TEST(DistByteIdentity, DelegatedStatsAgreeWithWorkerCounters) {
@@ -975,7 +983,7 @@ TEST(DistRecovery, AddWorkerUploadFailureQueuesSheddedShards) {
   EXPECT_EQ(*env.coord->WorkerIsHealthy("zz-fake"), false);
   EXPECT_GE(env.coord->stats().shards_queued, 1u);
 
-  // Shards rendezvous-owned by the dead worker decrypt locally; the
+  // Shards the owner table gave the dead worker decrypt locally; the
   // series still completes byte-identically.
   ExpectMatchesSingleNode(env, env.Series({KeySpec("X", "X")}, {x}));
 }
@@ -1146,6 +1154,203 @@ TEST(DistMembership, MembershipErrorsAreCleanAndNonDestructive) {
             StatusCode::kNotFound);
   ASSERT_TRUE(env.coord->RemoveWorker(w1).ok());
   EXPECT_EQ(env.coord->OwnerOfShard(0).status().code(), StatusCode::kNotFound);
+}
+
+// --- Placement: the owner table ------------------------------------------------
+
+/// Per-worker copy and primary counts of a coordinator's owner table, read
+/// back through OwnersOfShard (every registered worker listed, 0 when it
+/// holds nothing), and each shard's chain.
+struct Layout {
+  std::map<std::string, size_t> copies, primaries;
+  std::vector<std::vector<std::string>> chains;
+};
+
+Layout ReadLayout(const Coordinator& coord) {
+  Layout l;
+  for (const std::string& id : coord.worker_ids()) {
+    l.copies[id] = 0;
+    l.primaries[id] = 0;
+  }
+  for (uint32_t s = 0; s < coord.num_shards(); ++s) {
+    auto owners = coord.OwnersOfShard(s);
+    l.chains.push_back(owners.ok() ? *owners : std::vector<std::string>{});
+    for (const std::string& id : l.chains.back()) ++l.copies[id];
+    if (!l.chains.back().empty()) ++l.primaries[l.chains.back().front()];
+  }
+  return l;
+}
+
+/// Largest minus smallest count (0 without workers).
+size_t Spread(const std::map<std::string, size_t>& counts) {
+  if (counts.empty()) return 0;
+  auto [lo, hi] = std::minmax_element(
+      counts.begin(), counts.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  return hi->second - lo->second;
+}
+
+std::string Counts(const std::map<std::string, size_t>& counts) {
+  std::string out;
+  for (const auto& [id, n] : counts) out += id + "=" + std::to_string(n) + " ";
+  return out;
+}
+
+TEST(DistPlacement, RandomHistoriesStayWithinOneAndMoveOnlyWhatMust) {
+  // R = 1: after every add or remove, per-worker shard counts are within
+  // one; an add changes only the shards the newcomer now owns, a remove
+  // only the leaver's. The cluster still answers byte-identically.
+  for (size_t k : {1, 3, 8, 16}) {
+    for (uint64_t seed : {1, 2}) {
+      SCOPED_TRACE("K " + std::to_string(k) + " seed " + std::to_string(seed));
+      std::mt19937_64 rng(seed * 1000 + k);
+      DistEnv env(k);
+      const EncryptedTable* x = env.Upload("X", 6, 3);
+      std::vector<std::string> live;
+      int removes = 0;
+      for (int step = 0; step < 10; ++step) {
+        const bool add = live.empty() || (live.size() < 6 && rng() % 3 != 0);
+        removes += !add;
+        const Layout before = ReadLayout(*env.coord);
+        std::string changed;
+        if (add) {
+          changed = env.AddWorker();
+          live.push_back(changed);
+        } else {
+          auto it = live.begin() + static_cast<ptrdiff_t>(rng() % live.size());
+          changed = *it;
+          live.erase(it);
+          ASSERT_TRUE(env.coord->RemoveWorker(changed).ok());
+        }
+        SCOPED_TRACE((add ? "added " : "removed ") + changed);
+        const Layout after = ReadLayout(*env.coord);
+        EXPECT_LE(Spread(after.copies), 1u) << Counts(after.copies);
+        for (uint32_t s = 0; s < k; ++s) {
+          if (after.chains[s] == before.chains[s]) continue;
+          const std::vector<std::string>& chain =
+              add ? after.chains[s] : before.chains[s];
+          EXPECT_NE(std::find(chain.begin(), chain.end(), changed),
+                    chain.end())
+              << "shard " << s << " moved although " << changed
+              << (add ? " did not join it" : " did not hold it");
+        }
+      }
+      EXPECT_GT(removes, 0) << "the history never removed a worker";
+      if (live.empty()) env.AddWorker();
+      ExpectMatchesSingleNode(env, env.Series({KeySpec("X", "X")}, {x}));
+      EXPECT_GT(env.coord->stats().decrypt_rpcs, 0u);
+    }
+  }
+}
+
+TEST(DistPlacement, AddOnlyHistoriesBalanceCopiesAndPrimariesAtR2) {
+  // Nothing is stored, so no upload reaches a worker: every id can share
+  // one worker process, and only the owner table is under test.
+  WorkerProc proc;
+  const uint16_t port = proc.Start();
+  for (size_t k : {1, 3, 8, 16}) {
+    for (uint64_t seed : {0, 1, 2}) {
+      SCOPED_TRACE("K " + std::to_string(k) + " seed " + std::to_string(seed));
+      CoordinatorOptions opts;
+      opts.num_shards = k;
+      opts.replication = 2;
+      Coordinator coord(opts);
+      std::mt19937_64 rng(seed);
+      for (int n = 1; n <= 8; ++n) {
+        // Seed 0 names workers w1, w2, ...; the others draw random ids.
+        std::string id = seed == 0 ? "w" + std::to_string(n)
+                                   : "node-" + std::to_string(rng() % 100000);
+        if (coord.AddWorker(id, "127.0.0.1", port).code() ==
+            StatusCode::kAlreadyExists) {
+          continue;
+        }
+        SCOPED_TRACE("added " + id);
+        const Layout l = ReadLayout(coord);
+        EXPECT_LE(Spread(l.copies), 1u) << Counts(l.copies);
+        EXPECT_LE(Spread(l.primaries), 1u) << Counts(l.primaries);
+        for (const auto& chain : l.chains) {
+          EXPECT_EQ(chain.size(), std::min<size_t>(2, l.copies.size()));
+        }
+      }
+    }
+  }
+}
+
+TEST(DistPlacement, BenchmarkLayoutsSplitEvenly) {
+  // The scale-out bench and the repository benchmark place K = 8 shards
+  // at R = 1 on workers w1, w2, ...: 4/4 over two, 2/2/2/2 over four.
+  WorkerProc proc;
+  const uint16_t port = proc.Start();
+  Coordinator coord({.num_shards = 8});
+  for (int n = 1; n <= 4; ++n) {
+    ASSERT_TRUE(
+        coord.AddWorker("w" + std::to_string(n), "127.0.0.1", port).ok());
+    if (n != 2 && n != 4) continue;
+    const Layout l = ReadLayout(coord);
+    for (const auto& [id, copies] : l.copies) {
+      EXPECT_EQ(copies, 8u / n) << Counts(l.copies);
+    }
+  }
+}
+
+TEST(DistPlacement, OutOfRangeShardsHaveNoOwner) {
+  WorkerProc proc;
+  const uint16_t port = proc.Start();
+  Coordinator coord({.num_shards = 8});
+  for (bool with_worker : {false, true}) {
+    SCOPED_TRACE(with_worker ? "one worker" : "no workers");
+    if (with_worker) ASSERT_TRUE(coord.AddWorker("w1", "127.0.0.1", port).ok());
+    for (uint32_t shard : {8u, 9u, UINT32_MAX}) {
+      EXPECT_EQ(coord.OwnerOfShard(shard).status().code(),
+                StatusCode::kOutOfRange);
+      EXPECT_EQ(coord.OwnersOfShard(shard).status().code(),
+                StatusCode::kOutOfRange);
+    }
+    EXPECT_EQ(coord.OwnerOfShard(7).ok(), with_worker);
+  }
+}
+
+TEST(DistPlacement, OneDecryptRpcPerUnitAndOwningWorker) {
+  // R = 1: a decrypt unit sends one request per worker owning one of its
+  // selected rows' shards -- not one per shard.
+  DistEnv env(/*num_shards=*/8);
+  for (int w = 0; w < 3; ++w) env.AddWorker();
+  auto enc = env.client.EncryptTable(MakeGrouped("X", {3, 13}), "k");
+  ASSERT_TRUE(enc.ok()) << enc.status().ToString();
+  const EncryptedTable* x = env.Store(std::move(*enc));
+  const EncryptedTable* y = env.Upload("Y", 12, 4);
+  // Query 0 selects X's group 0 (ids 0..2) against all of Y; query 1 all
+  // of Y against all of X. Four decrypt units, one per query side.
+  JoinQuerySpec few = KeySpec("X", "Y");
+  few.selection_a.predicates = {{"grp", {Value(int64_t{0})}}};
+  const std::vector<std::pair<std::string, std::vector<StableRowId>>> units = {
+      {"X", {0, 1, 2}},
+      {"Y", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+      {"Y", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
+      {"X", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}}};
+  uint64_t expected_rpcs = 0;
+  for (const auto& [table, ids] : units) {
+    std::set<std::string> owners;
+    for (StableRowId id : ids) {
+      owners.insert(*env.coord->OwnerOfShard(*env.coord->ShardOfRow(table, id)));
+    }
+    expected_rpcs += owners.size();
+  }
+  std::set<std::string> chains;
+  for (uint32_t s = 0; s < 8; ++s) chains.insert(*env.coord->OwnerOfShard(s));
+
+  QuerySeriesTokens series = env.Series({few, KeySpec("Y", "X")}, {x, y});
+  const uint64_t before = env.coord->stats().decrypt_rpcs;
+  auto dist = env.coord->ExecuteSeries(series);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
+  EXPECT_EQ(env.coord->stats().decrypt_rpcs - before, expected_rpcs);
+  EXPECT_EQ(dist->stats.decrypts_performed, 3u + 12u + 12u + 16u);
+  // The in-process breakdown is per failover chain: one per worker here.
+  EXPECT_EQ(dist->stats.shards, chains.size());
+  EXPECT_EQ(dist->stats.shard_stats.size(), chains.size());
 }
 
 // --- Mutation routing ----------------------------------------------------------

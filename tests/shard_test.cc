@@ -258,15 +258,18 @@ TEST_F(ShardSeriesTest, DelegateCountersMustAgreeWithItsBitmap) {
     resp.stats.pairings_computed = claimed_pairings;
     return Result<ShardDecryptResponse>(std::move(resp));
   };
+  auto two_groups = [](const EncryptedRow& row) {
+    return ShardedTable::ShardOfDigest(ShardedTable::RowDigest(row), 2);
+  };
   auto lying = sharded_server_.ExecuteJoinSeriesDelegated(
-      *series, {}, 2,
+      *series, {}, 2, two_groups,
       [&](const ShardDecryptRequest& req) { return none_held(req, 5); });
   ASSERT_FALSE(lying.ok());
   EXPECT_EQ(lying.status().code(), StatusCode::kInternal);
 
   // An honest all-zero answer (every replica down): local fallback.
   auto honest = sharded_server_.ExecuteJoinSeriesDelegated(
-      *series, {}, 2,
+      *series, {}, 2, two_groups,
       [&](const ShardDecryptRequest& req) { return none_held(req, 0); });
   ASSERT_TRUE(honest.ok()) << honest.status().ToString();
   auto plain = plain_server_.ExecuteJoinSeries(*series);
