@@ -42,12 +42,12 @@ namespace sjoin {
 /// does not matter, only the orders of magnitude separating a pairing
 /// from a tag comparison (see docs/TUNING.md, "Cost model calibration").
 struct BackendCostModel {
-  /// Full SJ.Dec (Miller loop) per cold row at the paper's dimension
-  /// (m = 9, t = 1; measured ~14.6 ms, median of nine runs).
-  double pairing_cold_ms_per_row = 15.0;
+  /// Full SJ.Dec (Miller loop) per cold row (measured ~11.8 ms with the
+  /// batch-optimized pairing core; ~13.9 ms before it).
+  double pairing_cold_ms_per_row = 12.0;
   /// SJ.Dec through a warm prepared row (line evaluation only) at the
-  /// same dimension, in the same runs (measured ~9.3 ms: ~0.64 of the
-  /// cold row). The sjoin estimate uses this optimistic bound, biasing
+  /// paper's dimension (m = 9, t = 1; measured ~9.3 ms, median of nine
+  /// runs). The sjoin estimate uses this optimistic bound, biasing
   /// dispatch toward sjoin.
   double pairing_prepared_ms_per_row = 9.5;
   /// DET tag hash-join work per selected row (measured ~0.0002 ms; the

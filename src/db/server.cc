@@ -689,13 +689,29 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
         // down; an all-zero bitmap when every replica is unreachable)
         // decrypt from the pinned snapshot through the kernel on the
         // shared cache: SJ.Dec sees only (ciphertext, token), so the
-        // digests are what the worker would have answered.
+        // digests are what the worker would have answered. A request
+        // carries its group's whole share of the unit, so the fallback
+        // fans out over the pool in chunks of one final-exponentiation
+        // batch rather than running on this one thread.
         std::vector<size_t> missing;
         for (size_t i = 0; i < wu.rows.size(); ++i) {
           if (!resp->have[i]) missing.push_back(wu.rows[i]);
         }
-        std::vector<Digest32> local =
-            unit.Decrypt(missing, fallback_cache, stats);
+        const size_t chunk = SecureJoin::kDefaultDecryptBatchRows;
+        std::vector<ShardExecStats> chunk_stats((missing.size() + chunk - 1) /
+                                                chunk);
+        std::vector<Digest32> local(missing.size());
+        ThreadPool::Shared().ParallelFor(
+            chunk_stats.size(), opts.num_threads, [&](size_t c) {
+              const size_t first = c * chunk;
+              const size_t last = std::min(first + chunk, missing.size());
+              std::vector<Digest32> part = unit.Decrypt(
+                  std::vector<size_t>(missing.begin() + first,
+                                      missing.begin() + last),
+                  fallback_cache, &chunk_stats[c]);
+              std::copy(part.begin(), part.end(), local.begin() + first);
+            });
+        for (const ShardExecStats& s : chunk_stats) AddShardStats(stats, s);
         std::vector<Digest32> digests;
         digests.reserve(wu.rows.size());
         for (size_t i = 0, remote = 0, fallback = 0; i < wu.rows.size(); ++i) {

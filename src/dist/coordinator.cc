@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <tuple>
 #include <utility>
 
 #include "crypto/sha256.h"
@@ -134,52 +132,23 @@ void RebalancePrimaries(OwnerTable* table, const std::vector<uint32_t>& touched,
   }
 }
 
-/// How far `table` is from even primaries, smaller is better: counts
-/// more than one apart; then workers holding a surplus primary but no
-/// surplus copy (a later newcomer takes copies only from the most-loaded
-/// workers, so it may never reach such a surplus); then the sum of
-/// squared counts.
-std::tuple<bool, size_t, size_t> Unevenness(
-    const OwnerTable& table, const std::vector<std::string>& workers) {
-  std::map<std::string, size_t> copies = CopyCounts(table, workers);
-  std::map<std::string, size_t> primaries = PrimaryCounts(table, workers);
-  size_t copies_lo = SIZE_MAX, copies_hi = 0, lo = SIZE_MAX, hi = 0;
-  size_t squares = 0;
-  for (const std::string& w : workers) {
-    copies_lo = std::min(copies_lo, copies[w]);
-    copies_hi = std::max(copies_hi, copies[w]);
-    lo = std::min(lo, primaries[w]);
-    hi = std::max(hi, primaries[w]);
-    squares += primaries[w] * primaries[w];
-  }
-  size_t stranded = 0;
-  for (const std::string& w : workers) {
-    if (lo < hi && primaries[w] == hi && copies[w] < copies_hi) ++stranded;
-  }
-  return {hi > lo + 1, stranded, squares};
-}
-
-/// Complete sequences of takes PlaceNewcomer scores at most.
-constexpr size_t kPlacementTries = 128;
-
 /// Places newcomer `id` (already counted in `workers`) with
 /// floor(K * min(R, W) / W) copies: free replica slots first (while
 /// W <= R that is every shard), then one copy at a time from a
 /// most-loaded worker, in a shard the newcomer does not hold yet, taking
 /// over that worker's slot. Only the newcomer gains copies, and only the
 /// shards it joins change; their primaries are re-picked
-/// (RebalancePrimaries).
+/// (RebalancePrimaries). Returns the shards the newcomer joined.
 ///
 /// Which slot to take next: first a slot at a chain position where the
 /// victim holds more than its fair share and the newcomer less than its
 /// cap; then the shard whose primary holds the most primaries (joining
 /// it opens a path for that surplus); then the shard the newcomer's
-/// rendezvous score ranks first; then the earlier chain position. That
-/// greedy sequence is tried first. When it leaves Unevenness() short of
-/// even, aligned primaries, sequences that depart from it at one take
-/// are tried too, depth first, and the evenest of at most
-/// kPlacementTries is kept. At R = 1 the greedy sequence is always even.
-/// Returns the shards the newcomer joined.
+/// rendezvous score ranks first; then the earlier chain position. Each
+/// of the first two preferences, like RebalancePrimaries' align pass,
+/// keeps primaries within one in some add-only R = 2 history of
+/// tests/dist_test.cc that ends two apart without it. At R = 1 only the
+/// copy counts matter, and they come out within one.
 std::vector<uint32_t> PlaceNewcomer(OwnerTable* table,
                                     const std::vector<std::string>& workers,
                                     const std::string& id, size_t replication) {
@@ -207,81 +176,41 @@ std::vector<uint32_t> PlaceNewcomer(OwnerTable* table,
   for (const auto& chain : *table) {
     for (size_t j = 0; j < chain.size(); ++j) ++layer[j][chain[j]];
   }
-  struct Take {
-    bool good;
-    size_t primary_load;
-    uint32_t shard;
-    size_t pos;
-  };
-  auto candidates = [&] {
+  while (copies[id] < target) {
     size_t most = 0;
     for (const auto& [w, c] : copies) {
       if (w != id) most = std::max(most, c);
     }
-    std::vector<Take> next;
+    std::string* slot = nullptr;
+    size_t pos = 0;
+    std::pair<bool, size_t> best;
     for (uint32_t s : order) {
-      const std::vector<std::string>& chain = (*table)[s];
+      std::vector<std::string>& chain = (*table)[s];
       if (Holds(chain, id)) continue;
       for (size_t j = 0; j < chain.size(); ++j) {
         if (copies[chain[j]] != most) continue;
-        next.push_back({layer[j][chain[j]] > fair && layer[j][id] < cap,
-                        layer[0][chain.front()], s, j});
+        const std::pair<bool, size_t> rank = {
+            layer[j][chain[j]] > fair && layer[j][id] < cap,
+            layer[0][chain.front()]};
+        if (slot == nullptr || rank > best) {
+          slot = &chain[j];
+          pos = j;
+          best = rank;
+        }
       }
     }
-    std::stable_sort(next.begin(), next.end(),
-                     [](const Take& a, const Take& b) {
-                       return std::tie(a.good, a.primary_load) >
-                              std::tie(b.good, b.primary_load);
-                     });
-    return next;
-  };
-
-  OwnerTable best;
-  std::tuple<bool, size_t, size_t> best_unevenness;
-  size_t tries = 0;
-  std::function<void(bool)> extend = [&](bool departed) {
-    std::vector<Take> next;
-    if (copies[id] < target) next = candidates();
-    if (next.empty()) {
-      OwnerTable placed = *table;
-      std::vector<uint32_t> joined;
-      for (uint32_t s = 0; s < k; ++s) {
-        if (Holds(placed[s], id)) joined.push_back(s);
-      }
-      RebalancePrimaries(&placed, joined, workers);
-      auto unevenness = Unevenness(placed, workers);
-      if (tries++ == 0 || unevenness < best_unevenness) {
-        best = std::move(placed);
-        best_unevenness = unevenness;
-      }
-      const bool settled =
-          !std::get<0>(unevenness) && std::get<1>(unevenness) == 0;
-      if (settled) tries = kPlacementTries;
-      return;
-    }
-    for (size_t i = 0; i < next.size() && tries < kPlacementTries; ++i) {
-      if (i > 0 && departed) break;
-      std::string& slot = (*table)[next[i].shard][next[i].pos];
-      const std::string victim = slot;
-      --copies[victim];
-      --layer[next[i].pos][victim];
-      slot = id;
-      ++copies[id];
-      ++layer[next[i].pos][id];
-      extend(departed || i > 0);
-      --copies[id];
-      --layer[next[i].pos][id];
-      slot = victim;
-      ++copies[victim];
-      ++layer[next[i].pos][victim];
-    }
-  };
-  extend(false);
-  *table = std::move(best);
+    if (slot == nullptr) break;
+    --copies[*slot];
+    --layer[pos][*slot];
+    *slot = id;
+    ++copies[id];
+    ++layer[pos][id];
+  }
   std::vector<uint32_t> joined;
   for (uint32_t s = 0; s < k; ++s) {
     if (Holds((*table)[s], id)) joined.push_back(s);
   }
+  RebalancePrimaries(table, joined, workers);
   return joined;
 }
 
@@ -555,24 +484,36 @@ Status Coordinator::AddWorker(const std::string& id, const std::string& host,
   w->host = host;
   w->port = port;
   w->client = std::make_unique<TcpClient>(std::move(*client));
-  // (shard the newcomer joined, the owners it displaced there)
-  std::vector<std::pair<uint32_t, std::vector<std::shared_ptr<Worker>>>> moves;
-  std::vector<std::string> tables;
+  // data_mu_ serializes every writer of workers_ and owners_, so the
+  // placement runs on a copy without mu_ (series keep counting their
+  // RPCs meanwhile) and is installed in one step.
+  OwnerTable owners;
+  std::vector<std::string> ids;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (workers_.count(id)) {
       return Status::AlreadyExists("worker '" + id + "' already registered");
     }
-    const OwnerTable before = owners_;
-    workers_[id] = w;
-    for (uint32_t s : PlaceNewcomer(&owners_, WorkerIdsLocked(), id,
-                                    replication_)) {
+    owners = owners_;
+    ids = WorkerIdsLocked();
+  }
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
+  const std::vector<uint32_t> joined =
+      PlaceNewcomer(&owners, ids, id, replication_);
+  // (shard the newcomer joined, the owners it displaced there)
+  std::vector<std::pair<uint32_t, std::vector<std::shared_ptr<Worker>>>> moves;
+  std::vector<std::string> tables;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uint32_t s : joined) {
       std::vector<std::shared_ptr<Worker>> displaced;
-      for (const std::string& old : before[s]) {
-        if (!Holds(owners_[s], old)) displaced.push_back(workers_.at(old));
+      for (const std::string& old : owners_[s]) {
+        if (!Holds(owners[s], old)) displaced.push_back(workers_.at(old));
       }
       moves.emplace_back(s, std::move(displaced));
     }
+    workers_[id] = w;
+    owners_ = std::move(owners);
     for (const auto& [t, shards] : row_shard_) tables.push_back(t);
   }
   // Rebalance: exactly the shard copies the owner table gave the new
@@ -592,9 +533,9 @@ Status Coordinator::AddWorker(const std::string& id, const std::string& host,
 Status Coordinator::RemoveWorker(const std::string& id) {
   std::lock_guard<std::mutex> data(data_mu_);
   std::shared_ptr<Worker> w;
-  // (shard the removed worker held, the owners that took its copy)
-  std::vector<std::pair<uint32_t, std::vector<std::shared_ptr<Worker>>>> moves;
-  std::vector<std::string> tables;
+  // As in AddWorker: the placement runs on a copy, outside mu_.
+  OwnerTable owners;
+  std::vector<std::string> ids;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = workers_.find(id);
@@ -602,17 +543,26 @@ Status Coordinator::RemoveWorker(const std::string& id) {
       return Status::NotFound("worker '" + id + "' is not registered");
     }
     w = it->second;
-    const OwnerTable before = owners_;
-    workers_.erase(it);
-    ReplaceLeaver(&owners_, WorkerIdsLocked(), id);
+    owners = owners_;
+    ids = WorkerIdsLocked();
+  }
+  ids.erase(std::find(ids.begin(), ids.end(), id));
+  ReplaceLeaver(&owners, ids, id);
+  // (shard the removed worker held, the owners that took its copy)
+  std::vector<std::pair<uint32_t, std::vector<std::shared_ptr<Worker>>>> moves;
+  std::vector<std::string> tables;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     for (uint32_t s = 0; s < num_shards_; ++s) {
-      if (!Holds(before[s], id)) continue;
+      if (!Holds(owners_[s], id)) continue;
       std::vector<std::shared_ptr<Worker>> heirs;
-      for (const std::string& owner : owners_[s]) {
-        if (!Holds(before[s], owner)) heirs.push_back(workers_.at(owner));
+      for (const std::string& owner : owners[s]) {
+        if (!Holds(owners_[s], owner)) heirs.push_back(workers_.at(owner));
       }
       moves.emplace_back(s, std::move(heirs));
     }
+    workers_.erase(id);
+    owners_ = std::move(owners);
     for (const auto& [t, shards] : row_shard_) tables.push_back(t);
   }
   {

@@ -276,7 +276,9 @@ class Coordinator {
   std::map<std::string, std::shared_ptr<Worker>> workers_;
   /// The owner table: entry s is placement shard s's failover chain of
   /// registered worker ids, primary first, min(R, workers) long. Only
-  /// AddWorker and RemoveWorker change it (see coordinator.cc).
+  /// AddWorker and RemoveWorker change it, holding data_mu_ throughout:
+  /// they place on a copy outside mu_ and install it with workers_ under
+  /// mu_ (see coordinator.cc).
   std::vector<std::vector<std::string>> owners_;
   /// Stable id -> placement shard per table (authoritative copy of what
   /// was uploaded; mutation routing and the test hooks read it).
