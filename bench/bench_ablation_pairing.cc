@@ -179,7 +179,7 @@ Timings Measure() {
     mn(&t.dec_cold_batch,
        1e3 *
            benchutil::TimePerCall(
-               [&] { Sink(SecureJoin::DecryptRowsBatch(token, cts)); }, 1,
+               [&] { Sink(SecureJoin::DecryptRows(token, cts, 1)); }, 1,
                0.0) /
            rows);
     mn(&t.dec_prep_per_row,
@@ -195,7 +195,7 @@ Timings Measure() {
        1e3 *
            benchutil::TimePerCall(
                [&] {
-                 Sink(SecureJoin::DecryptRowsPreparedBatch(token, prepared));
+                 Sink(SecureJoin::DecryptRowsPrepared(token, prepared, 1));
                },
                1, 0.0) /
            rows);

@@ -8,7 +8,7 @@
 // `bench_sec65_comparison --json` instead emits a machine-readable summary:
 // per-scheme per-query latency and revealed-pair counts on the paper's
 // running example, plus the measured per-row cost constants the
-// BackendCostModel defaults (src/db/backend.h) are calibrated from -- see
+// BackendCostModel constants (src/db/backend.h) are calibrated from -- see
 // docs/TUNING.md, "Cost model calibration".
 #include <cstdio>
 #include <cstring>
@@ -203,7 +203,7 @@ void JsonTimeline(const char* name, JoinSchemeBaseline* scheme,
   std::printf("]}");
 }
 
-/// Measured per-row constants behind the BackendCostModel defaults.
+/// Measured per-row costs behind the BackendCostModel constants.
 void JsonCalibration(double pairing_cold_ms) {
   // Warm pairing path: the same series twice on one server; the second
   // run decrypts every row through the prepared cache. Same dimension as
@@ -268,7 +268,7 @@ void JsonCalibration(double pairing_cold_ms) {
       pairing_cold_ms, prepared_ms, tag_join, strip);
 }
 
-/// Everything the adaptive executor's defaults cite, as one JSON object.
+/// Everything the adaptive executor's constants cite, as one JSON object.
 void JsonSummary() {
   std::printf("{\n  \"bench\": \"sec65_comparison\",\n  \"schemes\": [");
   bool first = true;

@@ -126,29 +126,6 @@ Digest32 DigestOfGt(const GT& g) {
   return Sha256::Hash(bytes.data(), bytes.size());
 }
 
-// Shared parallel core of the two batch kernels: chunks of `batch_rows`
-// rows are the unit of parallelism, each run through the sequential
-// DigestRowsBatched loop, so the batch width also bounds each task's
-// working set.
-std::vector<Digest32> DecryptBatchedImpl(
-    size_t num_rows, int num_threads, size_t batch_rows,
-    const std::function<Fp12(size_t)>& miller) {
-  if (batch_rows == 0) batch_rows = 1;
-  std::vector<Digest32> out(num_rows);
-  const size_t num_chunks = (num_rows + batch_rows - 1) / batch_rows;
-  // ParallelFor resolves num_threads <= 0 to hardware concurrency, clamps
-  // the width to the chunk count, and runs small batches inline.
-  ThreadPool::Shared().ParallelFor(
-      num_chunks, num_threads, [&](size_t c) {
-        const size_t lo = c * batch_rows;
-        const size_t n = std::min(batch_rows, num_rows - lo);
-        SecureJoin::DigestRowsBatched(
-            std::span<Digest32>(out).subspan(lo, n), batch_rows,
-            [&](size_t i) { return miller(lo + i); });
-      });
-  return out;
-}
-
 }  // namespace
 
 Fp12 SecureJoin::DecryptRowMiller(const SjToken& token,
@@ -170,51 +147,46 @@ std::vector<Digest32> SecureJoin::DigestMillerBatch(
   return out;
 }
 
-void SecureJoin::DigestRowsBatched(std::span<Digest32> out,
-                                   size_t batch_rows,
+void SecureJoin::DigestRowsBatched(ThreadPool& pool, int width,
+                                   std::span<Digest32> out,
                                    const std::function<Fp12(size_t)>& miller) {
-  batch_rows = std::max<size_t>(batch_rows, 1);
-  std::vector<Fp12> millers;
-  millers.reserve(std::min(batch_rows, out.size()));
-  for (size_t lo = 0; lo < out.size(); lo += batch_rows) {
-    const size_t hi = std::min(lo + batch_rows, out.size());
-    millers.clear();
+  const size_t threads =
+      static_cast<size_t>(width > 0 ? width : pool.concurrency());
+  const size_t chunk =
+      std::min(kDefaultDecryptBatchRows, (out.size() + threads - 1) / threads);
+  if (chunk == 0) return;
+  const size_t num_chunks = (out.size() + chunk - 1) / chunk;
+  // ParallelFor clamps the width to the pool and the chunk count, and runs
+  // a lone executor inline.
+  pool.ParallelFor(num_chunks, static_cast<int>(threads), [&](size_t c) {
+    const size_t lo = c * chunk;
+    const size_t hi = std::min(lo + chunk, out.size());
+    std::vector<Fp12> millers;
+    millers.reserve(hi - lo);
     for (size_t i = lo; i < hi; ++i) millers.push_back(miller(i));
     std::vector<Digest32> digests = DigestMillerBatch(millers);
     std::copy(digests.begin(), digests.end(), out.begin() + lo);
-  }
+  });
 }
 
 std::vector<Digest32> SecureJoin::DecryptRows(
     const SjToken& token, std::span<const SjRowCiphertext> rows,
     int num_threads) {
-  return DecryptRowsBatch(token, rows, num_threads);
-}
-
-std::vector<Digest32> SecureJoin::DecryptRowsBatch(
-    const SjToken& token, std::span<const SjRowCiphertext> rows,
-    int num_threads, size_t batch_rows) {
-  return DecryptBatchedImpl(rows.size(), num_threads, batch_rows,
-                            [&](size_t i) {
-                              return ModifiedIpe::DecryptMiller(token.tk,
-                                                                rows[i].c);
-                            });
+  std::vector<Digest32> out(rows.size());
+  DigestRowsBatched(ThreadPool::Shared(), num_threads, out, [&](size_t i) {
+    return ModifiedIpe::DecryptMiller(token.tk, rows[i].c);
+  });
+  return out;
 }
 
 std::vector<Digest32> SecureJoin::DecryptRowsPrepared(
     const SjToken& token, std::span<const SjPreparedRow> rows,
     int num_threads) {
-  return DecryptRowsPreparedBatch(token, rows, num_threads);
-}
-
-std::vector<Digest32> SecureJoin::DecryptRowsPreparedBatch(
-    const SjToken& token, std::span<const SjPreparedRow> rows,
-    int num_threads, size_t batch_rows) {
-  return DecryptBatchedImpl(rows.size(), num_threads, batch_rows,
-                            [&](size_t i) {
-                              return ModifiedIpe::DecryptMillerPrepared(
-                                  token.tk, rows[i].c);
-                            });
+  std::vector<Digest32> out(rows.size());
+  DigestRowsBatched(ThreadPool::Shared(), num_threads, out, [&](size_t i) {
+    return ModifiedIpe::DecryptMillerPrepared(token.tk, rows[i].c);
+  });
+  return out;
 }
 
 namespace {

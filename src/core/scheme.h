@@ -31,6 +31,8 @@
 
 namespace sjoin {
 
+class ThreadPool;
+
 /// Public dimensioning parameters: m attributes, IN clauses of size <= t.
 struct SecureJoinParams {
   size_t num_attrs = 1;      // m
@@ -106,28 +108,17 @@ class SecureJoin {
   static Digest32 DecryptToDigest(const SjToken& token,
                                   const SjRowCiphertext& ct);
 
-  /// Default row-batch width of the batched decrypt kernel: matches the
-  /// server's per-task row granularity, and at 8 rows the shared Fp12
-  /// inversion of the batched final exponentiation is already ~1/8 of the
-  /// per-row inversion bill (diminishing returns beyond).
+  /// Row-batch width of the batched decrypt kernel: at 8 rows the shared
+  /// Fp12 inversion of the batched final exponentiation is already ~1/8
+  /// of the per-row inversion bill (diminishing returns beyond).
   static constexpr size_t kDefaultDecryptBatchRows = 8;
 
-  /// Parallel bulk decryption (num_threads <= 0 means hardware concurrency).
-  /// Routes through the batched kernel (DecryptRowsBatch); element-wise
-  /// byte-identical to per-row DecryptToDigest.
+  /// Parallel bulk decryption (num_threads <= 0 means hardware concurrency)
+  /// through DigestRowsBatched on ThreadPool::Shared(); element-wise
+  /// byte-identical to per-row DecryptToDigest for every width.
   static std::vector<Digest32> DecryptRows(
       const SjToken& token, std::span<const SjRowCiphertext> rows,
       int num_threads = 1);
-
-  /// Batched SJ.Dec kernel: rows are decrypted in chunks of `batch_rows`;
-  /// each chunk runs its Miller loops per row, then one
-  /// FinalExponentiationBatch call shares a single Fp12 inversion across
-  /// the chunk's easy parts. Inverses are unique, so every digest equals
-  /// the per-row DecryptToDigest output byte for byte; chunks are
-  /// distributed over the thread pool.
-  static std::vector<Digest32> DecryptRowsBatch(
-      const SjToken& token, std::span<const SjRowCiphertext> rows,
-      int num_threads = 1, size_t batch_rows = kDefaultDecryptBatchRows);
 
   /// Hoists the G2-side Miller-loop work of one row out of SJ.Dec (see
   /// SjPreparedRow). Token-independent: one prepared row serves every
@@ -140,17 +131,10 @@ class SecureJoin {
                                           const SjPreparedRow& row);
 
   /// Parallel bulk decryption over prepared rows; element-wise equal to
-  /// DecryptRows over the rows the preparations came from. Routes through
-  /// the batched kernel (DecryptRowsPreparedBatch).
+  /// DecryptRows over the rows the preparations came from.
   static std::vector<Digest32> DecryptRowsPrepared(
       const SjToken& token, std::span<const SjPreparedRow> rows,
       int num_threads = 1);
-
-  /// Batched SJ.Dec over prepared rows (see DecryptRowsBatch); element-wise
-  /// byte-identical to per-row DecryptToDigestPrepared.
-  static std::vector<Digest32> DecryptRowsPreparedBatch(
-      const SjToken& token, std::span<const SjPreparedRow> rows,
-      int num_threads = 1, size_t batch_rows = kDefaultDecryptBatchRows);
 
   /// Miller-loop half of SJ.Dec for one row (pre-final-exponentiation
   /// accumulator). Building blocks for callers whose rows mix cold and
@@ -166,11 +150,17 @@ class SecureJoin {
   /// of the row that produced millers[i], byte for byte.
   static std::vector<Digest32> DigestMillerBatch(std::span<const Fp12> millers);
 
-  /// The sequential chunk loop of every batched SJ.Dec: out[i] becomes the
-  /// digest of miller(i), which runs exactly once per row in index order,
-  /// and each `batch_rows`-row chunk (0 counts as 1) finishes with one
-  /// DigestMillerBatch. Byte-identical to per-row decryption for any width.
-  static void DigestRowsBatched(std::span<Digest32> out, size_t batch_rows,
+  /// The one SJ.Dec fan-out: out[i] becomes the digest of miller(i), which
+  /// runs exactly once per row. Rows are cut into contiguous chunks of
+  /// min(kDefaultDecryptBatchRows, ceil(rows / width)) -- so a short row
+  /// list still reaches every thread, and width 1 is the sequential
+  /// 8-row loop -- and the chunks (each its Miller loops, then one
+  /// DigestMillerBatch) run on up to `width` executors of `pool` (<= 0:
+  /// pool.concurrency()). Chunking only groups final exponentiations, so
+  /// the digests are byte-identical to per-row decryption for any width.
+  /// Safe to call from a task already running on `pool`.
+  static void DigestRowsBatched(ThreadPool& pool, int width,
+                                std::span<Digest32> out,
                                 const std::function<Fp12(size_t)>& miller);
 
   /// SJ.Match (server, query result).

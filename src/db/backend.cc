@@ -55,11 +55,9 @@ std::vector<DetTag> TagJoinBackend::TagsOf(const BackendQueryView& q,
   return tags;
 }
 
-double TagJoinBackend::EstimatedCostMs(const BackendQueryView& q,
-                                       const BackendCostModel& m) const {
-  double cost =
-      static_cast<double>(q.sel_a->size() + q.sel_b->size()) *
-      m.tag_join_ms_per_row;
+double TagJoinBackend::EstimatedCostMs(const BackendQueryView& q) const {
+  double cost = static_cast<double>(q.sel_a->size() + q.sel_b->size()) *
+                BackendCostModel::kTagJoinMsPerRow;
   if (kind_ == BackendKind::kCryptDbOnion) {
     // Strip cost for every row not yet unwrapped (strip-once).
     size_t unstripped = 0;
@@ -75,7 +73,8 @@ double TagJoinBackend::EstimatedCostMs(const BackendQueryView& q,
     };
     count(*q.a, q.table_id_a, *q.ids_a);
     count(*q.b, q.table_id_b, *q.ids_b);
-    cost += static_cast<double>(unstripped) * m.onion_strip_ms_per_row;
+    cost += static_cast<double>(unstripped) *
+            BackendCostModel::kOnionStripMsPerRow;
   }
   return cost;
 }
@@ -114,20 +113,6 @@ std::map<int, std::map<StableRowId, DetTag>> TagJoinBackend::RevealedAfter(
   add(*q.a, q.table_id_a, *q.ids_a);
   add(*q.b, q.table_id_b, *q.ids_b);
   return after;
-}
-
-std::vector<LeakageTracker::Charge> TagJoinBackend::ProjectedCharges(
-    const BackendQueryView& q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<int, uint64_t> before = PairsPerTable(revealed_);
-  std::map<int, uint64_t> after = PairsPerTable(RevealedAfter(q));
-  std::vector<LeakageTracker::Charge> charges;
-  for (const auto& [table, pairs] : after) {
-    auto it = before.find(table);
-    uint64_t prior = it == before.end() ? 0 : it->second;
-    if (pairs > prior) charges.emplace_back(table, pairs - prior);
-  }
-  return charges;
 }
 
 bool TagJoinBackend::TryAuthorize(const BackendQueryView& q,
@@ -184,42 +169,26 @@ void TagJoinBackend::ComputeDigests(const BackendQueryView& q,
   side(*q.b, *q.sel_b, db);
 }
 
-JoinBackend* AdaptiveExecutor::backend(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kDetJoin:
-      return &det_;
-    case BackendKind::kCryptDbOnion:
-      return &onion_;
-    case BackendKind::kSjoin:
-      break;
-  }
-  return nullptr;
-}
-
 BackendDecision AdaptiveExecutor::Dispatch(const BackendQueryView& q,
-                                           uint32_t allowed_mask,
-                                           const BackendCostModel& model) {
+                                           uint32_t allowed_mask) {
   // The sjoin yardstick assumes the warm prepared path for every selected
   // row -- the most favorable case for the pairing pipeline. A fast
   // backend must beat it AND fit the budgets to win.
-  double sjoin_cost =
-      static_cast<double>(q.sel_a->size() + q.sel_b->size()) *
-      model.pairing_prepared_ms_per_row;
+  double sjoin_cost = static_cast<double>(q.sel_a->size() + q.sel_b->size()) *
+                      BackendCostModel::kPairingPreparedMsPerRow;
 
-  std::vector<JoinBackend*> candidates;
-  for (JoinBackend* b : {static_cast<JoinBackend*>(&det_),
-                         static_cast<JoinBackend*>(&onion_)}) {
+  std::vector<TagJoinBackend*> candidates;
+  for (TagJoinBackend* b : {&det_, &onion_}) {
     if ((allowed_mask & BackendBit(b->kind())) == 0) continue;
     if (!b->CanExecute(q)) continue;
-    if (b->EstimatedCostMs(q, model) >= sjoin_cost) continue;
+    if (b->EstimatedCostMs(q) >= sjoin_cost) continue;
     candidates.push_back(b);
   }
   std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](JoinBackend* x, JoinBackend* y) {
-                     return x->EstimatedCostMs(q, model) <
-                            y->EstimatedCostMs(q, model);
+                   [&](TagJoinBackend* x, TagJoinBackend* y) {
+                     return x->EstimatedCostMs(q) < y->EstimatedCostMs(q);
                    });
-  for (JoinBackend* b : candidates) {
+  for (TagJoinBackend* b : candidates) {
     uint64_t charged = 0;
     if (b->TryAuthorize(q, tracker_, &charged)) {
       return BackendDecision{b->kind(), b, charged};

@@ -19,7 +19,7 @@
 // (all-or-nothing across the involved tables). The charge is recorded
 // permanently -- budgets are monotone, mirroring "cannot unlearn" -- and
 // the pairing path remains the free fallback when every budget is
-// exhausted. Cost-model defaults are calibrated from
+// exhausted. The cost-model constants are calibrated from
 // `bench_sec65_comparison --json` (see docs/TUNING.md).
 #ifndef SJOIN_DB_BACKEND_H_
 #define SJOIN_DB_BACKEND_H_
@@ -37,25 +37,22 @@
 namespace sjoin {
 
 /// Per-row wall-cost constants (milliseconds) the executor compares
-/// backends with. Defaults come from `bench_sec65_comparison --json`
+/// backends with, calibrated from `bench_sec65_comparison --json`
 /// ("calibration" object) on the reference container; absolute accuracy
 /// does not matter, only the orders of magnitude separating a pairing
 /// from a tag comparison (see docs/TUNING.md, "Cost model calibration").
 struct BackendCostModel {
-  /// Full SJ.Dec (Miller loop) per cold row (measured ~11.8 ms with the
-  /// batch-optimized pairing core; ~13.9 ms before it).
-  double pairing_cold_ms_per_row = 12.0;
   /// SJ.Dec through a warm prepared row (line evaluation only) at the
   /// paper's dimension (m = 9, t = 1; measured ~9.3 ms, median of nine
   /// runs). The sjoin estimate uses this optimistic bound, biasing
   /// dispatch toward sjoin.
-  double pairing_prepared_ms_per_row = 9.5;
+  static constexpr double kPairingPreparedMsPerRow = 9.5;
   /// DET tag hash-join work per selected row (measured ~0.0002 ms; the
-  /// default keeps a 5x safety margin).
-  double tag_join_ms_per_row = 0.001;
+  /// constant keeps a 5x safety margin).
+  static constexpr double kTagJoinMsPerRow = 0.001;
   /// One ChaCha20 RND unwrap, charged per not-yet-stripped row (measured
   /// ~0.0002 ms; same margin).
-  double onion_strip_ms_per_row = 0.002;
+  static constexpr double kOnionStripMsPerRow = 0.002;
 };
 
 /// Everything a backend needs to consider one query of a series: the two
@@ -75,70 +72,46 @@ struct BackendQueryView {
   const std::array<uint8_t, 32>* onion_key = nullptr;
 };
 
-/// A server-side join backend the adaptive executor can dispatch to.
-/// Implementations are thread-safe: concurrent sessions authorize and
+/// The two tag-joining fast backends the adaptive executor can dispatch
+/// to share this one class: `det` reads the at-rest DetTag directly,
+/// `onion` unwraps the RND layer with the series-released key first
+/// (strip-once: unwrapped tags are kept by stable id, CryptDB's
+/// irreversible downgrade). Both model the scheme's full-pattern reveal
+/// -- executing a query exposes the join-tag column of BOTH snapshot
+/// tables, not just the selected rows -- which is what TryAuthorize
+/// prices and records. Thread-safe: concurrent sessions authorize and
 /// execute through one shared instance per server.
-class JoinBackend {
+class TagJoinBackend {
  public:
-  virtual ~JoinBackend() = default;
+  explicit TagJoinBackend(BackendKind kind) : kind_(kind) {}
 
-  virtual BackendKind kind() const = 0;
-  const char* name() const { return BackendName(kind()); }
+  BackendKind kind() const { return kind_; }
 
   /// Whether this backend can answer `q` at all: every row of both
   /// snapshot tables must carry the encoding, and required key material
   /// (the onion key) must have been released.
-  virtual bool CanExecute(const BackendQueryView& q) const = 0;
+  bool CanExecute(const BackendQueryView& q) const;
 
-  /// Projected wall cost of executing `q` here.
-  virtual double EstimatedCostMs(const BackendQueryView& q,
-                                 const BackendCostModel& m) const = 0;
+  /// Projected wall cost of executing `q` here (BackendCostModel).
+  double EstimatedCostMs(const BackendQueryView& q) const;
 
-  /// Upper bound on the NEW revealed pairs executing `q` here would add,
-  /// per involved table (tables already linked to the reveal included).
-  virtual std::vector<LeakageTracker::Charge> ProjectedCharges(
-      const BackendQueryView& q) const = 0;
-
-  /// Atomically authorizes `q`: charges the projection against every
-  /// involved table's budget (all-or-nothing via LeakageTracker::
-  /// TryCharge), and on success permanently marks the reveal and feeds
-  /// the observed equality groups into the tracker. Returns false --
-  /// charging nothing -- when any budget cannot absorb its share;
-  /// `charged` (optional) receives the total pairs charged.
-  virtual bool TryAuthorize(const BackendQueryView& q,
-                            LeakageTracker* tracker, uint64_t* charged) = 0;
+  /// Atomically authorizes `q`: charges the NEW revealed pairs executing
+  /// it would add, per involved table, against every involved table's
+  /// budget (all-or-nothing via LeakageTracker::TryCharge), and on
+  /// success permanently marks the reveal and feeds the observed equality
+  /// groups into the tracker. Returns false -- charging nothing -- when
+  /// any budget cannot absorb its share; `charged` (optional) receives
+  /// the total pairs charged.
+  bool TryAuthorize(const BackendQueryView& q, LeakageTracker* tracker,
+                    uint64_t* charged);
 
   /// Join digests for the selected rows of both sides, in selection
   /// order: equal join values yield equal digests, exactly the equality
   /// structure SJ.Dec produces -- so the server's one SJ.Match + payload
   /// assembly path serves every backend and results stay byte-identical.
   /// Only valid after a successful TryAuthorize.
-  virtual void ComputeDigests(const BackendQueryView& q,
-                              std::vector<Digest32>* da,
-                              std::vector<Digest32>* db) const = 0;
-};
-
-/// The two tag-joining fast backends share one implementation: `det`
-/// reads the at-rest DetTag directly, `onion` unwraps the RND layer with
-/// the series-released key first (strip-once: unwrapped tags are kept by
-/// stable id, CryptDB's irreversible downgrade). Both model the scheme's
-/// full-pattern reveal -- executing a query exposes the join-tag column
-/// of BOTH snapshot tables, not just the selected rows -- which is what
-/// ProjectedCharges prices and TryAuthorize records.
-class TagJoinBackend : public JoinBackend {
- public:
-  explicit TagJoinBackend(BackendKind kind) : kind_(kind) {}
-
-  BackendKind kind() const override { return kind_; }
-  bool CanExecute(const BackendQueryView& q) const override;
-  double EstimatedCostMs(const BackendQueryView& q,
-                         const BackendCostModel& m) const override;
-  std::vector<LeakageTracker::Charge> ProjectedCharges(
-      const BackendQueryView& q) const override;
-  bool TryAuthorize(const BackendQueryView& q, LeakageTracker* tracker,
-                    uint64_t* charged) override;
   void ComputeDigests(const BackendQueryView& q, std::vector<Digest32>* da,
-                      std::vector<Digest32>* db) const override;
+                      std::vector<Digest32>* db) const;
 
  private:
   /// Tag column of one snapshot table (det: read, onion: unwrap).
@@ -168,7 +141,7 @@ class TagJoinBackend : public JoinBackend {
 struct BackendDecision {
   BackendKind kind = BackendKind::kSjoin;
   /// The fast backend to compute digests with; nullptr on the sjoin path.
-  JoinBackend* backend = nullptr;
+  TagJoinBackend* backend = nullptr;
   /// Revealed pairs charged against the budget ledger for this dispatch.
   uint64_t charged = 0;
 };
@@ -184,11 +157,7 @@ class AdaptiveExecutor {
   /// `allowed_mask` is the intersection of the client's series policy and
   /// the server's ServerExecOptions::allowed_backends; kSjoin is always
   /// implicitly allowed (the fallback).
-  BackendDecision Dispatch(const BackendQueryView& q, uint32_t allowed_mask,
-                           const BackendCostModel& model);
-
-  /// Direct access for tests (e.g. forcing a projection).
-  JoinBackend* backend(BackendKind kind);
+  BackendDecision Dispatch(const BackendQueryView& q, uint32_t allowed_mask);
 
  private:
   LeakageTracker* tracker_;

@@ -2,6 +2,8 @@
 
 #include <functional>
 
+#include "util/thread_pool.h"
+
 namespace sjoin {
 
 PreparedRowCache::PreparedRowCache(size_t max_bytes, size_t lock_shards)
@@ -159,23 +161,37 @@ std::vector<Digest32> DecryptRowsCached(const SjToken& token,
                                         const std::string& table,
                                         std::span<const CachedDecryptRow> rows,
                                         PreparedRowCache* cache,
+                                        ThreadPool& pool, int width,
                                         ShardExecStats* stats) {
+  // Rows decrypt on several threads at once, so the counters are atomics,
+  // each bumped on its own so the identities below can catch a row that
+  // ran twice or not at all.
+  std::atomic<size_t> performed{0}, cold{0}, prepared{0}, built{0}, hits{0};
+  auto bump = [](std::atomic<size_t>& n) {
+    n.fetch_add(1, std::memory_order_relaxed);
+  };
   std::vector<Digest32> digests(rows.size());
-  SecureJoin::DigestRowsBatched(
-      digests, SecureJoin::kDefaultDecryptBatchRows, [&](size_t i) {
-        const CachedDecryptRow& row = rows[i];
-        ++stats->decrypts_performed;
-        bool built = false;
-        std::shared_ptr<const SjPreparedRow> prep =
-            cache ? cache->Get(table, row.id, *row.ct, &built) : nullptr;
-        if (!prep) {
-          ++stats->pairings_computed;
-          return SecureJoin::DecryptRowMiller(token, *row.ct);
-        }
-        ++stats->prepared_pairings;
-        ++(built ? stats->prepared_rows_built : stats->prepared_cache_hits);
-        return SecureJoin::DecryptRowMillerPrepared(token, *prep);
-      });
+  SecureJoin::DigestRowsBatched(pool, width, digests, [&](size_t i) {
+    const CachedDecryptRow& row = rows[i];
+    bump(performed);
+    bool was_built = false;
+    std::shared_ptr<const SjPreparedRow> prep =
+        cache ? cache->Get(table, row.id, *row.ct, &was_built) : nullptr;
+    if (!prep) {
+      bump(cold);
+      return SecureJoin::DecryptRowMiller(token, *row.ct);
+    }
+    bump(prepared);
+    bump(was_built ? built : hits);
+    return SecureJoin::DecryptRowMillerPrepared(token, *prep);
+  });
+  const ShardExecStats s{performed, cold, prepared, built, hits};
+  SJOIN_CHECK(s.decrypts_performed == rows.size());
+  SJOIN_CHECK(s.pairings_computed + s.prepared_pairings ==
+              s.decrypts_performed);
+  SJOIN_CHECK(s.prepared_rows_built + s.prepared_cache_hits ==
+              s.prepared_pairings);
+  AddShardStats(stats, s);
   return digests;
 }
 

@@ -160,17 +160,17 @@ struct CachedDecryptRow {
 /// The cache-aware SJ.Dec kernel behind every decrypt path (the server's
 /// series executor, its delegated local fallback, and dist/ShardWorker):
 /// for each row of `table`, the prepared Miller loop when `cache` (may be
-/// null) holds or admits the row, the cold one otherwise; then one batched
-/// final exponentiation per SecureJoin::kDefaultDecryptBatchRows rows.
-/// Sequential -- callers parallelize across calls: the series executor
-/// over its work units, ShardWorker over contiguous chunks of one decrypt
-/// slice. Returns the digests aligned with `rows` (byte-identical to
-/// per-row DecryptToDigest) and adds this call's decrypts_performed,
-/// pairings_computed and prepared_* counts to *stats.
+/// null) holds or admits the row, the cold one otherwise, fanned out over
+/// up to `width` executors of `pool` by SecureJoin::DigestRowsBatched
+/// (which also sets the chunking). Returns the digests aligned with `rows`
+/// (byte-identical to per-row DecryptToDigest), checks this call's
+/// decrypts_performed, pairings_computed and prepared_* counts against the
+/// SeriesExecStats identities, and adds them to *stats.
 std::vector<Digest32> DecryptRowsCached(const SjToken& token,
                                         const std::string& table,
                                         std::span<const CachedDecryptRow> rows,
                                         PreparedRowCache* cache,
+                                        ThreadPool& pool, int width,
                                         ShardExecStats* stats);
 
 }  // namespace sjoin

@@ -119,16 +119,18 @@ struct EncryptedServer::SeriesPlanState {
     const SjToken* token = nullptr;
     std::vector<std::optional<Digest32>> digests;
 
-    /// SJ.Dec of the rows at `positions` through the cache-aware kernel.
+    /// SJ.Dec of the rows at `positions` through the cache-aware kernel,
+    /// on up to `num_threads` threads of the shared pool.
     std::vector<Digest32> Decrypt(const std::vector<size_t>& positions,
-                                  PreparedRowCache* cache,
+                                  PreparedRowCache* cache, int num_threads,
                                   ShardExecStats* stats) const {
       std::vector<CachedDecryptRow> rows;
       rows.reserve(positions.size());
       for (size_t r : positions) {
         rows.push_back({(*row_ids)[r], &table->rows[r].sj});
       }
-      return DecryptRowsCached(*token, table->name, rows, cache, stats);
+      return DecryptRowsCached(*token, table->name, rows, cache,
+                               ThreadPool::Shared(), num_threads, stats);
     }
   };
   struct QueryPlan {
@@ -155,9 +157,9 @@ struct EncryptedServer::SeriesPlanState {
 };
 
 /// One (decrypt-unit x shard) slice of the batched SJ.Dec pass: the
-/// pending rows of one unit that hash to one shard. The local paths chunk
-/// these further for pool granularity; the delegated path ships each as
-/// one worker RPC.
+/// pending rows of one unit that hash to one shard. The local paths hand
+/// each to the kernel whole; the delegated path ships each as one worker
+/// RPC.
 struct EncryptedServer::ShardWorkUnit {
   SeriesPlanState::Unit* unit = nullptr;
   size_t shard = 0;
@@ -167,32 +169,20 @@ struct EncryptedServer::ShardWorkUnit {
 std::vector<EncryptedServer::ShardWorkUnit> EncryptedServer::BuildShardUnits(
     const SeriesPlanState& state, const Placement& placement) {
   std::vector<ShardWorkUnit> groups;
-  {
-    std::map<std::pair<const SeriesPlanState::Unit*, size_t>, size_t> index;
-    for (const auto& [unit, row] : state.pending) {
-      size_t shard =
-          placement.shard_of ? placement.shard_of(unit->table, row) : 0;
-      auto key = std::make_pair(
-          static_cast<const SeriesPlanState::Unit*>(unit), shard);
-      auto it = index.find(key);
-      if (it == index.end()) {
-        it = index.emplace(key, groups.size()).first;
-        groups.push_back(ShardWorkUnit{unit, shard, {}});
-      }
-      groups[it->second].rows.push_back(row);
+  std::map<std::pair<const SeriesPlanState::Unit*, size_t>, size_t> index;
+  for (const auto& [unit, row] : state.pending) {
+    size_t shard =
+        placement.shard_of ? placement.shard_of(unit->table, row) : 0;
+    auto key =
+        std::make_pair(static_cast<const SeriesPlanState::Unit*>(unit), shard);
+    auto it = index.find(key);
+    if (it == index.end()) {
+      it = index.emplace(key, groups.size()).first;
+      groups.push_back(ShardWorkUnit{unit, shard, {}});
     }
+    groups[it->second].rows.push_back(row);
   }
-  const size_t task = placement.rows_per_task;
-  if (task == 0) return groups;
-  std::vector<ShardWorkUnit> work;
-  for (const ShardWorkUnit& group : groups) {
-    for (size_t off = 0; off < group.rows.size(); off += task) {
-      auto first = group.rows.begin() + off;
-      auto last = first + std::min(task, group.rows.size() - off);
-      work.push_back(ShardWorkUnit{group.unit, group.shard, {first, last}});
-    }
-  }
-  return work;
+  return groups;
 }
 
 Status EncryptedServer::StoreTable(EncryptedTable table) {
@@ -366,8 +356,7 @@ Status EncryptedServer::BuildSeriesPlan(const QuerySeriesTokens& series,
       view.table_id_a = TableIdFor(plan.a->name);
       view.table_id_b = TableIdFor(plan.b->name);
       view.onion_key = series.has_onion_key ? &series.onion_key : nullptr;
-      BackendDecision decision =
-          executor_.Dispatch(view, allowed, opts.cost_model);
+      BackendDecision decision = executor_.Dispatch(view, allowed);
       plan.backend = decision.kind;
       if (decision.backend != nullptr) {
         decision.backend->ComputeDigests(view, &plan.fast_da, &plan.fast_db);
@@ -537,10 +526,10 @@ Result<EncryptedSeriesResult> EncryptedServer::RunSeries(
   const Placement placement = place(state);
 
   // 3. One batched SJ.Dec pass: the pending rows of every query, grouped
-  // into (unit x shard) work units of at most rows_per_task rows (tens of
-  // ms of pairings: task overhead is noise, stragglers cannot idle the
-  // pool), run through the sink on the shared pool. The first failing
-  // unit fails the series.
+  // into (unit x shard) work units, run through the sink on the shared
+  // pool. A local sink fans each unit out again inside the kernel, so a
+  // thread that finishes its unit helps with a sibling's chunks. The
+  // first failing unit fails the series.
   Stopwatch decrypt_watch;
   std::vector<ShardWorkUnit> work = BuildShardUnits(state, placement);
   std::vector<ShardExecStats> per_shard(std::max<size_t>(placement.shards, 1));
@@ -604,9 +593,9 @@ PreparedRowCache* EncryptedServer::SharedCache(const ServerExecOptions& opts) {
 }
 
 EncryptedServer::DecryptSink EncryptedServer::LocalSink(
-    PreparedRowCache* cache) {
-  return [cache](const ShardWorkUnit& wu, ShardExecStats* stats) {
-    return wu.unit->Decrypt(wu.rows, cache, stats);
+    PreparedRowCache* cache, int num_threads) {
+  return [cache, num_threads](const ShardWorkUnit& wu, ShardExecStats* stats) {
+    return wu.unit->Decrypt(wu.rows, cache, num_threads, stats);
   };
 }
 
@@ -618,10 +607,8 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeries(
   // are STABLE row ids) -- decrypts via line evaluation alone.
   return RunSeries(
       series, opts,
-      [](const SeriesPlanState&) {
-        return Placement{0, nullptr, SecureJoin::kDefaultDecryptBatchRows};
-      },
-      LocalSink(SharedCache(opts)));
+      [](const SeriesPlanState&) { return Placement{}; },
+      LocalSink(SharedCache(opts), opts.num_threads));
 }
 
 Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
@@ -646,18 +633,18 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesSharded(
                        return ShardedTable::ShardOfDigest(
                            ShardedTable::RowDigest(t->rows[row]),
                            ShardedTable::ClampShardCount(t->rows.size(), k));
-                     },
-                     SecureJoin::kDefaultDecryptBatchRows};
+                     }};
   };
-  return RunSeries(series, opts, place, LocalSink(SharedCache(opts)));
+  return RunSeries(series, opts, place,
+                   LocalSink(SharedCache(opts), opts.num_threads));
 }
 
 Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
     const QuerySeriesTokens& series, const ServerExecOptions& opts,
     size_t groups, const RequestGroupFn& group_of,
     const ShardDecryptFn& decrypt) {
-  // One call per (unit x group) (rows_per_task = 0): fewer, bigger
-  // requests amortize the round trip.
+  // One call per (unit x group): fewer, bigger requests amortize the
+  // round trip.
   PreparedRowCache* fallback_cache = SharedCache(opts);
   return RunSeries(
       series, opts,
@@ -667,8 +654,7 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
                            const size_t group = group_of(t->rows[row]);
                            SJOIN_CHECK(group < groups);
                            return group;
-                         },
-                         0};
+                         }};
       },
       [&](const ShardWorkUnit& wu,
           ShardExecStats* stats) -> Result<std::vector<Digest32>> {
@@ -690,28 +676,14 @@ Result<EncryptedSeriesResult> EncryptedServer::ExecuteJoinSeriesDelegated(
         // decrypt from the pinned snapshot through the kernel on the
         // shared cache: SJ.Dec sees only (ciphertext, token), so the
         // digests are what the worker would have answered. A request
-        // carries its group's whole share of the unit, so the fallback
-        // fans out over the pool in chunks of one final-exponentiation
-        // batch rather than running on this one thread.
+        // carries its group's whole share of the unit, so the kernel fans
+        // the fallback out over the pool rather than this one thread.
         std::vector<size_t> missing;
         for (size_t i = 0; i < wu.rows.size(); ++i) {
           if (!resp->have[i]) missing.push_back(wu.rows[i]);
         }
-        const size_t chunk = SecureJoin::kDefaultDecryptBatchRows;
-        std::vector<ShardExecStats> chunk_stats((missing.size() + chunk - 1) /
-                                                chunk);
-        std::vector<Digest32> local(missing.size());
-        ThreadPool::Shared().ParallelFor(
-            chunk_stats.size(), opts.num_threads, [&](size_t c) {
-              const size_t first = c * chunk;
-              const size_t last = std::min(first + chunk, missing.size());
-              std::vector<Digest32> part = unit.Decrypt(
-                  std::vector<size_t>(missing.begin() + first,
-                                      missing.begin() + last),
-                  fallback_cache, &chunk_stats[c]);
-              std::copy(part.begin(), part.end(), local.begin() + first);
-            });
-        for (const ShardExecStats& s : chunk_stats) AddShardStats(stats, s);
+        std::vector<Digest32> local =
+            unit.Decrypt(missing, fallback_cache, opts.num_threads, stats);
         std::vector<Digest32> digests;
         digests.reserve(wu.rows.size());
         for (size_t i = 0, remote = 0, fallback = 0; i < wu.rows.size(); ++i) {

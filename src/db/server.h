@@ -56,9 +56,6 @@ struct ServerExecOptions {
   /// fallback, not a privilege). Defaults to everything -- the client's
   /// sjoin-only default keeps behavior unchanged unless a client opts in.
   uint32_t allowed_backends = kBackendMaskAll;
-  /// Cost constants the executor compares backends with; defaults are
-  /// calibrated from `bench_sec65_comparison --json` (docs/TUNING.md).
-  BackendCostModel cost_model{};
 };
 
 class EncryptedServer {
@@ -86,7 +83,6 @@ class EncryptedServer {
   /// the generation it pinned.
   Result<MutationResult> ApplyMutation(const TableMutation& mutation);
 
-  bool HasTable(const std::string& name) const { return store_.Has(name); }
   /// Current-generation row data; the pointer stays valid until the next
   /// ApplyMutation on that table (hold a TableStore::Snapshot via
   /// table_store().Get() to pin a generation across mutations). NotFound
@@ -116,15 +112,16 @@ class EncryptedServer {
   /// ExecuteJoinSeries with rows routed to K shards: each pending row goes
   /// to ShardedTable::ShardOfDigest(RowDigest(row), K clamped to its
   /// table's row count), the batched SJ.Dec pass is scheduled as (shard x
-  /// decrypt-unit) work units (row-chunked, so parallelism is bounded by
-  /// pending rows, not by K) on the shared ThreadPool, and every unit
-  /// decrypts through the one shared prepared-row cache -- so rows warmed
-  /// by any path, at any K, stay warm here. Digests are merged back by
-  /// original row index before SJ.Match, which makes the results
-  /// bit-identical to the unsharded path (asserted by tests/shard_test.cc
-  /// and tests/series_test.cc); only the stats gain a per-shard breakdown
-  /// (SeriesExecStats::shards / shard_stats, in process only). Reads the
-  /// same generation-consistent snapshots as the unsharded path.
+  /// decrypt-unit) work units on the shared ThreadPool (each fanning out
+  /// inside the kernel, so parallelism is bounded by pending rows, not by
+  /// K), and every unit decrypts through the one shared prepared-row
+  /// cache -- so rows warmed by any path, at any K, stay warm here.
+  /// Digests are merged back by original row index before SJ.Match, which
+  /// makes the results bit-identical to the unsharded path (asserted by
+  /// tests/shard_test.cc and tests/series_test.cc); only the stats gain a
+  /// per-shard breakdown (SeriesExecStats::shards / shard_stats, in
+  /// process only). Reads the same generation-consistent snapshots as the
+  /// unsharded path.
   Result<EncryptedSeriesResult> ExecuteJoinSeriesSharded(
       const QuerySeriesTokens& series, const ServerExecOptions& opts = {});
 
@@ -261,18 +258,18 @@ class EncryptedServer {
  private:
   struct SeriesPlanState;  // defined in server.cc
   /// One (decrypt-unit x shard) slice of a series' batched SJ.Dec pass:
-  /// the pending rows of one unit that hash to one shard, optionally
-  /// chunked further for pool granularity. Defined in server.cc.
+  /// the pending rows of one unit that hash to one shard. Defined in
+  /// server.cc.
   struct ShardWorkUnit;
 
   /// Where the series executor sends a plan's pending rows: K placement
-  /// shards (0 = unsharded: one implicit shard, no per-shard report), the
-  /// row position -> shard map (null: shard 0), and the rows per pool task
-  /// (0 = one task per (unit, shard) group, the delegated RPC granularity).
+  /// shards (0 = unsharded: one implicit shard, no per-shard report) and
+  /// the row position -> shard map (null: shard 0). Each (unit, shard)
+  /// group is one sink call; the kernel splits its rows into batches and
+  /// threads.
   struct Placement {
     size_t shards = 0;
     std::function<size_t(const EncryptedTable*, size_t)> shard_of;
-    size_t rows_per_task = 0;
   };
   /// The decrypt sink of the series executor: one work unit's digests
   /// (aligned with its rows), adding the SJ.Dec counters of the work to
@@ -281,14 +278,13 @@ class EncryptedServer {
   using DecryptSink = std::function<Result<std::vector<Digest32>>(
       const ShardWorkUnit&, ShardExecStats*)>;
 
-  /// Groups a plan's pending (unit, row) decryptions into ShardWorkUnits
-  /// under the placement's shard_of, then subdivides groups into
-  /// rows_per_task-row chunks. Chunks stay within one unit and one shard,
-  /// so stats attribution is independent of chunking.
+  /// Groups a plan's pending (unit, row) decryptions into one
+  /// ShardWorkUnit per (unit, shard) under the placement's shard_of.
   static std::vector<ShardWorkUnit> BuildShardUnits(
       const SeriesPlanState& state, const Placement& placement);
-  /// The local decrypt sink: the kernel over `cache` (nullptr: cold).
-  static DecryptSink LocalSink(PreparedRowCache* cache);
+  /// The local decrypt sink: the kernel over `cache` (nullptr: cold) on
+  /// up to `num_threads` shared-pool threads per work unit.
+  static DecryptSink LocalSink(PreparedRowCache* cache, int num_threads);
 
   /// Lock stripes of the shared prepared-row cache: enough that the
   /// decrypt pools of several concurrent sessions rarely collide on one

@@ -258,9 +258,7 @@ Coordinator::Coordinator(CoordinatorOptions opts)
       opts_(std::move(opts)),
       owners_(num_shards_),
       rng_(std::random_device{}()) {
-  if (opts_.auto_reconnect) {
-    reconnect_thread_ = std::thread([this] { ReconnectLoop(); });
-  }
+  reconnect_thread_ = std::thread([this] { ReconnectLoop(); });
 }
 
 Coordinator::~Coordinator() {
@@ -269,7 +267,7 @@ Coordinator::~Coordinator() {
     stopping_ = true;
   }
   reconnect_cv_.notify_all();
-  if (reconnect_thread_.joinable()) reconnect_thread_.join();
+  reconnect_thread_.join();
 }
 
 std::vector<std::shared_ptr<Coordinator::Worker>> Coordinator::ChainLocked(

@@ -77,14 +77,10 @@ struct CoordinatorOptions {
   /// any single worker loss without touching the coordinator's pairing
   /// budget.
   size_t replication = 1;
-  /// Background re-dial of unhealthy workers. Off, a worker that failed
-  /// an RPC stays out of rotation until it is RemoveWorker'd/re-added;
-  /// its shards are served by replicas or coordinator-local fallback.
-  bool auto_reconnect = true;
-  /// First re-dial delay after a worker is marked unhealthy; doubles per
-  /// failed attempt up to reconnect_max_backoff_ms, jittered to
-  /// [50%, 100%] of the nominal value so a mass failure does not re-dial
-  /// in lockstep.
+  /// A background loop re-dials every worker marked unhealthy: first after
+  /// this delay, then doubling per failed attempt up to
+  /// reconnect_max_backoff_ms, jittered to [50%, 100%] of the nominal
+  /// value so a mass failure does not re-dial in lockstep.
   int reconnect_initial_backoff_ms = 100;
   int reconnect_max_backoff_ms = 5000;
   /// Transport options for the per-worker connections (io_timeout_ms is

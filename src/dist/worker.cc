@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <set>
-#include <span>
 #include <utility>
 #include <vector>
-
-#include "core/scheme.h"
 
 namespace sjoin {
 
@@ -155,38 +152,14 @@ ShardDecryptResponse ShardWorker::Decrypt(const ShardDecryptRequest& req) {
   pending.reserve(held.size());
   for (const auto& [id, ct] : held) pending.push_back({id, &ct});
 
-  // One request fans out over the private pool: contiguous chunks of at
-  // most one final-exponentiation batch, sized so a short slice still
-  // spreads over every pool thread. This runs on a pool thread already,
-  // so the width is the pool's thread count (the nested ParallelFor steals
-  // queued work while it waits). Each chunk writes its own digest range
-  // and counters; SJ.Dec depends only on (ciphertext, token), so the
-  // digests are byte-identical to one sequential kernel call.
-  const size_t width = static_cast<size_t>(pool_.concurrency() - 1);
-  const size_t chunk = std::min(SecureJoin::kDefaultDecryptBatchRows,
-                                (pending.size() + width - 1) / width);
-  const size_t chunks = chunk == 0 ? 0 : (pending.size() + chunk - 1) / chunk;
-  PreparedRowCache* cache = opts_.prepared_cache_bytes > 0 ? &cache_ : nullptr;
-  std::vector<ShardExecStats> chunk_stats(chunks);
-  resp.digests.resize(pending.size());
-  pool_.ParallelFor(chunks, static_cast<int>(width), [&](size_t c) {
-    const size_t first = c * chunk;
-    std::vector<Digest32> digests = DecryptRowsCached(
-        req.token, req.table,
-        std::span<const CachedDecryptRow>(pending).subspan(
-            first, std::min(chunk, pending.size() - first)),
-        cache, &chunk_stats[c]);
-    std::copy(digests.begin(), digests.end(), resp.digests.begin() + first);
-  });
-  for (const ShardExecStats& s : chunk_stats) AddShardStats(&resp.stats, s);
-  // The identities CheckShardResponse enforces at the coordinator, checked
-  // here where the counters are produced.
-  const ShardExecStats& s = resp.stats;
-  SJOIN_CHECK(s.decrypts_performed == held.size());
-  SJOIN_CHECK(s.pairings_computed + s.prepared_pairings ==
-              s.decrypts_performed);
-  SJOIN_CHECK(s.prepared_rows_built + s.prepared_cache_hits ==
-              s.prepared_pairings);
+  // One request fans out over the private pool. This runs on a pool thread
+  // already, so the width is the pool's worker count (the kernel's nested
+  // ParallelFor steals queued work while it waits). SJ.Dec depends only
+  // on (ciphertext, token), so the digests do not depend on the width.
+  resp.digests = DecryptRowsCached(
+      req.token, req.table, pending,
+      opts_.prepared_cache_bytes > 0 ? &cache_ : nullptr, pool_,
+      pool_.concurrency() - 1, &resp.stats);
   digests_computed_.fetch_add(held.size(), std::memory_order_relaxed);
 
   // This worker's ledger slice: the equality groups among the digests it

@@ -18,11 +18,10 @@
 //
 // Threading: Handle() (event-loop thread) moves every request onto the
 // worker's OWN thread pool and returns immediately. A decrypt request then
-// fans out over that same pool: its held rows split into contiguous
-// chunks (at most one final-exponentiation batch each, fewer rows when
-// the slice is short) that the pool's threads decrypt concurrently, so
-// one slice uses every thread even though the coordinator sends this
-// worker one request at a time. The pool is private -- never
+// fans out over that same pool through the one SJ.Dec kernel
+// (DecryptRowsCached, whose SecureJoin::DigestRowsBatched sets the
+// chunking), so one slice uses every thread even though the coordinator
+// sends this worker one request at a time. The pool is private -- never
 // ThreadPool::Shared() -- so an in-process coordinator whose delegated
 // pass blocks every shared-pool thread on worker RPCs cannot starve the
 // very decrypts those RPCs wait for.
@@ -47,8 +46,8 @@ namespace sjoin {
 struct ShardWorkerOptions {
   /// Byte budget of the worker's prepared-row cache (0 disables it).
   size_t prepared_cache_bytes = PreparedRowCache::kDefaultMaxBytes;
-  /// Threads of the worker's private decrypt pool, which is also how many
-  /// chunks of one decrypt slice run at once. <= 0 means hardware
+  /// Threads of the worker's private decrypt pool, which is also the
+  /// kernel width one decrypt slice fans out over. <= 0 means hardware
   /// concurrency - 1, the whole machine (see docs/TUNING.md, "Distributed
   /// execution").
   int num_threads = 2;

@@ -16,8 +16,6 @@ class Stopwatch {
   double Seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-  double Millis() const { return Seconds() * 1e3; }
-  double Micros() const { return Seconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -262,30 +262,36 @@ TEST(SecureJoinTest, BatchDecryptMatchesPerRow) {
     rows.push_back(SecureJoin::EncryptRow(msk, join, {{sel}}, &rng));
     prepared.push_back(SecureJoin::PrepareRow(rows.back()));
   }
-  // The per-row paths are the byte-identity oracle for every batch shape:
-  // chunk boundaries, a trailing partial chunk, batch_rows = 0 (clamped to
-  // 1), batch wider than the row count, and chunk-level threading.
+  // The per-row paths are the byte-identity oracle for every chunk shape
+  // the width sweep cuts 9 rows into (min(8, ceil(9 / width)) rows each):
+  // 8 + a trailing partial 1 at width 1, 5 + 4 at width 2, 3 x 3 at width
+  // 3, single-row chunks at widths 9 and 64, and the host's width at 0. A
+  // 5-row prefix at width 1 is one chunk, narrower than the 8-row batch.
   std::vector<Digest32> expect;
   for (const auto& ct : rows) {
     expect.push_back(SecureJoin::DecryptToDigest(token, ct));
   }
-  for (size_t batch : {size_t{0}, size_t{1}, size_t{4}, size_t{64}}) {
-    EXPECT_EQ(SecureJoin::DecryptRowsBatch(token, rows, 1, batch), expect)
-        << "batch_rows=" << batch;
+  const std::vector<Digest32> expect_prefix(expect.begin(), expect.begin() + 5);
+  for (int width : {1, 2, 3, 9, 64, 0}) {
+    EXPECT_EQ(SecureJoin::DecryptRows(token, rows, width), expect)
+        << "width=" << width;
   }
-  EXPECT_EQ(SecureJoin::DecryptRowsBatch(token, rows, 3), expect);
+  EXPECT_EQ(SecureJoin::DecryptRows(
+                token, std::span<const SjRowCiphertext>(rows).first(5), 1),
+            expect_prefix);
 
   std::vector<Digest32> expect_prep;
   for (const auto& row : prepared) {
     expect_prep.push_back(SecureJoin::DecryptToDigestPrepared(token, row));
   }
   EXPECT_EQ(expect_prep, expect);  // preparation never changes the bytes
-  for (size_t batch : {size_t{1}, size_t{4}, size_t{64}}) {
-    EXPECT_EQ(SecureJoin::DecryptRowsPreparedBatch(token, prepared, 1, batch),
-              expect)
-        << "batch_rows=" << batch;
+  for (int width : {1, 2, 3, 9, 64, 0}) {
+    EXPECT_EQ(SecureJoin::DecryptRowsPrepared(token, prepared, width), expect)
+        << "width=" << width;
   }
-  EXPECT_EQ(SecureJoin::DecryptRowsPreparedBatch(token, prepared, 3), expect);
+  EXPECT_EQ(SecureJoin::DecryptRowsPrepared(
+                token, std::span<const SjPreparedRow>(prepared).first(5), 1),
+            expect_prefix);
 }
 
 TEST(SecureJoinTest, BatchDecryptEmptyInput) {
@@ -294,8 +300,10 @@ TEST(SecureJoinTest, BatchDecryptEmptyInput) {
   Fr sel = HashToFr("attr", std::string("s"));
   SjToken token =
       SecureJoin::GenToken(msk, {{sel}}, rng.NextFrNonZero(), &rng);
-  EXPECT_TRUE(SecureJoin::DecryptRowsBatch(token, {}).empty());
-  EXPECT_TRUE(SecureJoin::DecryptRowsPreparedBatch(token, {}).empty());
+  for (int width : {1, 3, 0}) {
+    EXPECT_TRUE(SecureJoin::DecryptRows(token, {}, width).empty());
+    EXPECT_TRUE(SecureJoin::DecryptRowsPrepared(token, {}, width).empty());
+  }
 }
 
 // --- Join algorithms over digests --------------------------------------------

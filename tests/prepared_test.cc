@@ -1,16 +1,20 @@
 // Prepared-ciphertext pipeline: G2Prepared line tables must make the
 // Miller loop, the IPE decrypt, and SJ.Dec bit-identical to their
-// unprepared counterparts, and the server's prepared-row cache must honor
-// its byte budget with LRU eviction.
+// unprepared counterparts, the server's prepared-row cache must honor
+// its byte budget with LRU eviction, and the cache-aware kernel every
+// decrypt path fans out through must match per-row SJ.Dec at every width.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/scheme.h"
 #include "crypto/rng.h"
 #include "db/prepared_cache.h"
 #include "pairing/pairing.h"
+#include "util/thread_pool.h"
 
 namespace sjoin {
 namespace {
@@ -344,6 +348,72 @@ TEST_F(PreparedCacheTest, BudgetShrinkMidSeriesKeepsServingCorrectly) {
   cache.set_max_bytes(0);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.Get("T", 1, cts_[1], &built), nullptr);
+}
+
+// --- The cache-aware kernel ----------------------------------------------------
+
+/// The one SJ.Dec fan-out every decrypt path shares: for every row count,
+/// width and pool, and with no cache, an admitting cache (cold pass, then
+/// a warm pass that builds nothing) and a cache too small for any row,
+/// the digests equal per-row DecryptToDigest and the counters sum to the
+/// row count under the SeriesExecStats identities.
+TEST(DecryptRowsCachedTest, EveryWidthPoolAndCacheModeMatchesPerRow) {
+  Rng rng(6600);
+  auto msk = SecureJoin::Setup({.num_attrs = 1, .max_in_clause = 1}, &rng);
+  SjToken token = SecureJoin::GenTokenPair(msk, {{}}, {{}}, &rng).first;
+  std::vector<Fr> join_hashes = {rng.NextFr(), rng.NextFr(), rng.NextFr()};
+  std::vector<SjRowCiphertext> cts;
+  std::vector<Digest32> expect;
+  for (int r = 0; r < 37; ++r) {
+    std::vector<Fr> attrs = {rng.NextFr()};
+    cts.push_back(SecureJoin::EncryptRow(msk, join_hashes[r % 3], attrs, &rng));
+    expect.push_back(SecureJoin::DecryptToDigest(token, cts.back()));
+  }
+  std::vector<CachedDecryptRow> all_rows;
+  for (size_t r = 0; r < cts.size(); ++r) all_rows.push_back({r, &cts[r]});
+  const size_t row_bytes = SjPreparedRow::BytesForDim(msk.params.Dimension());
+
+  ThreadPool private_pool(2);
+  for (ThreadPool* pool : {&ThreadPool::Shared(), &private_pool}) {
+    for (int width : {1, 2, 3, 64}) {
+      for (size_t n : {0, 1, 8, 9, 37}) {
+        SCOPED_TRACE(std::string(pool == &private_pool ? "private" : "shared") +
+                     " pool, width " + std::to_string(width) + ", rows " +
+                     std::to_string(n));
+        const std::span<const CachedDecryptRow> rows =
+            std::span<const CachedDecryptRow>(all_rows).first(n);
+        const std::vector<Digest32> want(expect.begin(), expect.begin() + n);
+        // One kernel call; checks the digests and the identities, and
+        // returns the counters it added.
+        auto run = [&](PreparedRowCache* cache) {
+          ShardExecStats s;
+          EXPECT_EQ(DecryptRowsCached(token, "T", rows, cache, *pool, width,
+                                      &s),
+                    want);
+          EXPECT_EQ(s.decrypts_performed, n);
+          EXPECT_EQ(s.pairings_computed + s.prepared_pairings, n);
+          EXPECT_EQ(s.prepared_rows_built + s.prepared_cache_hits,
+                    s.prepared_pairings);
+          return s;
+        };
+
+        EXPECT_EQ(run(nullptr).pairings_computed, n);
+
+        PreparedRowCache admitting;
+        ShardExecStats cold = run(&admitting);
+        EXPECT_EQ(cold.prepared_rows_built, n);
+        ShardExecStats warm = run(&admitting);
+        EXPECT_EQ(warm.prepared_cache_hits, n);
+        EXPECT_EQ(warm.prepared_rows_built, 0u);
+        EXPECT_EQ(admitting.stats().built, n);
+
+        PreparedRowCache too_small(row_bytes / 2);
+        EXPECT_EQ(run(&too_small).pairings_computed, n);
+        EXPECT_EQ(too_small.stats().rejected, n);
+        EXPECT_EQ(too_small.stats().built, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace
