@@ -27,27 +27,9 @@ constexpr uint8_t kTagShardDigests = 0x64;    // 'd'
 constexpr uint8_t kTagShardMutation = 0x58;   // 'X'
 constexpr uint8_t kTagWorkerHealth = 0x48;    // 'H'
 
-/// Validates the version/tag header.
-Status ExpectHeader(WireReader* r, uint8_t tag) {
-  auto version = r->U8();
-  SJOIN_RETURN_IF_ERROR(version.status());
-  if (*version != kWireVersion) {
-    return Status::InvalidArgument(
-        "unsupported wire version " + std::to_string(*version) +
-        " (expected " + std::to_string(kWireVersion) + ")");
-  }
-  auto got = r->U8();
-  SJOIN_RETURN_IF_ERROR(got.status());
-  if (*got != tag) {
-    return Status::InvalidArgument("wrong message type tag");
-  }
-  return Status::OK();
-}
-
-void WriteHeader(WireWriter* w, uint8_t tag) {
-  w->U8(kWireVersion);
-  w->U8(tag);
-}
+// Backend-encoding flag bits of the row codec.
+constexpr uint8_t kRowFlagDet = 0x01;
+constexpr uint8_t kRowFlagOnion = 0x02;
 
 Result<Fp> ReadFp(WireReader* r) {
   uint8_t buf[32];
@@ -59,117 +41,6 @@ void WriteFp(WireWriter* w, const Fp& x) {
   uint8_t buf[32];
   x.ToBytesBE(buf);
   w->Raw(buf, sizeof(buf));
-}
-
-void WriteAead(WireWriter* w, const AeadCiphertext& ct) {
-  w->Raw(ct.nonce.data(), ct.nonce.size());
-  w->Blob(ct.body);
-  w->Raw(ct.tag.data(), ct.tag.size());
-}
-
-Result<AeadCiphertext> ReadAead(WireReader* r) {
-  AeadCiphertext ct;
-  SJOIN_RETURN_IF_ERROR(r->Raw(ct.nonce.data(), ct.nonce.size()));
-  auto body = r->Blob();
-  SJOIN_RETURN_IF_ERROR(body.status());
-  ct.body = std::move(*body);
-  SJOIN_RETURN_IF_ERROR(r->Raw(ct.tag.data(), ct.tag.size()));
-  return ct;
-}
-
-void WriteSseGroups(WireWriter* w, const std::vector<SseTokenGroup>& groups) {
-  w->U32(static_cast<uint32_t>(groups.size()));
-  for (const SseTokenGroup& g : groups) {
-    w->U32(static_cast<uint32_t>(g.column_index));
-    w->U32(static_cast<uint32_t>(g.tokens.size()));
-    for (const SseToken& t : g.tokens) w->Raw(t.data(), t.size());
-  }
-}
-
-// Backend-encoding flag bits of the row codec.
-constexpr uint8_t kRowFlagDet = 0x01;
-constexpr uint8_t kRowFlagOnion = 0x02;
-
-// Row codec shared by the table upload, the mutation insert list and the
-// shard messages. A backend-encoding flag byte follows the payload, then
-// the optional det tag and onion (nonce, wrapped tag); rows without
-// encodings cost one extra zero byte.
-void WriteEncryptedRow(WireWriter* w, const EncryptedRow& row) {
-  w->U32(static_cast<uint32_t>(row.sj.c.size()));
-  for (const G2Affine& p : row.sj.c) WriteG2Point(w, p);
-  w->Raw(row.sse.salt.data(), row.sse.salt.size());
-  w->U32(static_cast<uint32_t>(row.sse.tags.size()));
-  for (const SseTag& t : row.sse.tags) w->Raw(t.data(), t.size());
-  WriteAead(w, row.payload);
-  uint8_t flags = (row.enc.has_det ? kRowFlagDet : 0) |
-                  (row.enc.has_onion ? kRowFlagOnion : 0);
-  w->U8(flags);
-  if (row.enc.has_det) w->Raw(row.enc.det_tag.data(), row.enc.det_tag.size());
-  if (row.enc.has_onion) {
-    w->Raw(row.enc.onion_nonce.data(), row.enc.onion_nonce.size());
-    w->Raw(row.enc.onion_wrapped.data(), row.enc.onion_wrapped.size());
-  }
-}
-
-Result<EncryptedRow> ReadEncryptedRow(WireReader* r) {
-  EncryptedRow row;
-  auto dim = r->U32();
-  SJOIN_RETURN_IF_ERROR(dim.status());
-  for (uint32_t j = 0; j < *dim; ++j) {
-    auto p = ReadG2Point(r);
-    SJOIN_RETURN_IF_ERROR(p.status());
-    row.sj.c.push_back(*p);
-  }
-  SJOIN_RETURN_IF_ERROR(r->Raw(row.sse.salt.data(), row.sse.salt.size()));
-  auto ntags = r->U32();
-  SJOIN_RETURN_IF_ERROR(ntags.status());
-  for (uint32_t j = 0; j < *ntags; ++j) {
-    SseTag tag;
-    SJOIN_RETURN_IF_ERROR(r->Raw(tag.data(), tag.size()));
-    row.sse.tags.push_back(tag);
-  }
-  auto payload = ReadAead(r);
-  SJOIN_RETURN_IF_ERROR(payload.status());
-  row.payload = std::move(*payload);
-  auto flags = r->U8();
-  SJOIN_RETURN_IF_ERROR(flags.status());
-  if ((*flags & ~(kRowFlagDet | kRowFlagOnion)) != 0) {
-    return Status::InvalidArgument("unknown row encoding flags");
-  }
-  if ((*flags & kRowFlagDet) != 0) {
-    row.enc.has_det = true;
-    SJOIN_RETURN_IF_ERROR(
-        r->Raw(row.enc.det_tag.data(), row.enc.det_tag.size()));
-  }
-  if ((*flags & kRowFlagOnion) != 0) {
-    row.enc.has_onion = true;
-    SJOIN_RETURN_IF_ERROR(
-        r->Raw(row.enc.onion_nonce.data(), row.enc.onion_nonce.size()));
-    SJOIN_RETURN_IF_ERROR(
-        r->Raw(row.enc.onion_wrapped.data(), row.enc.onion_wrapped.size()));
-  }
-  return row;
-}
-
-Result<std::vector<SseTokenGroup>> ReadSseGroups(WireReader* r) {
-  auto count = r->U32();
-  SJOIN_RETURN_IF_ERROR(count.status());
-  std::vector<SseTokenGroup> groups;
-  for (uint32_t i = 0; i < *count; ++i) {
-    SseTokenGroup g;
-    auto col = r->U32();
-    SJOIN_RETURN_IF_ERROR(col.status());
-    g.column_index = *col;
-    auto ntok = r->U32();
-    SJOIN_RETURN_IF_ERROR(ntok.status());
-    for (uint32_t j = 0; j < *ntok; ++j) {
-      SseToken t;
-      SJOIN_RETURN_IF_ERROR(r->Raw(t.data(), t.size()));
-      g.tokens.push_back(t);
-    }
-    groups.push_back(std::move(g));
-  }
-  return groups;
 }
 
 }  // namespace
@@ -299,666 +170,528 @@ Result<G2Affine> ReadG2Point(WireReader* r) {
   return p;
 }
 
-Bytes SerializeEncryptedTable(const EncryptedTable& table) {
-  WireWriter w;
-  WriteHeader(&w, kTagTable);
-  w.Str(table.name);
-  w.Str(table.join_column);
-  w.U32(static_cast<uint32_t>(table.schema.NumColumns()));
-  for (const Column& c : table.schema.columns()) {
-    w.Str(c.name);
-    w.U8(static_cast<uint8_t>(c.kind));
-  }
-  w.U32(static_cast<uint32_t>(table.attr_columns.size()));
-  for (const std::string& c : table.attr_columns) w.Str(c);
-  w.U32(static_cast<uint32_t>(table.rows.size()));
-  for (const EncryptedRow& row : table.rows) WriteEncryptedRow(&w, row);
-  return w.Take();
-}
+// --- Field codec -------------------------------------------------------------
+//
+// Each message's layout is stated once, as a field template
+// `template <typename Io, typename M> Status XFields(Io& io, M& m)` run
+// with an Encoder (M const; every op appends and returns OK) or a Decoder
+// (M mutable; every op reads and returns the first error). U8/U32/U64
+// name the wire width and cast to the field's type (a bool is one 0/1
+// byte, read as nonzero); Field() codes the types that fix their own
+// encoding; List and Aligned put one u32 count before their elements.
+// Checks only a decoded value can fail sit under `if constexpr
+// (Io::kDecode)`.
 
-Result<EncryptedTable> DeserializeEncryptedTable(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagTable));
-  EncryptedTable t;
-  auto name = r.Str();
-  SJOIN_RETURN_IF_ERROR(name.status());
-  t.name = *name;
-  auto join_col = r.Str();
-  SJOIN_RETURN_IF_ERROR(join_col.status());
-  t.join_column = *join_col;
-  auto ncols = r.U32();
-  SJOIN_RETURN_IF_ERROR(ncols.status());
-  std::vector<Column> cols;
-  for (uint32_t i = 0; i < *ncols; ++i) {
-    auto cname = r.Str();
-    SJOIN_RETURN_IF_ERROR(cname.status());
-    auto kind = r.U8();
-    SJOIN_RETURN_IF_ERROR(kind.status());
-    if (*kind > static_cast<uint8_t>(ValueKind::kString)) {
-      return Status::InvalidArgument("bad column kind");
-    }
-    cols.push_back(Column{*cname, static_cast<ValueKind>(*kind)});
-  }
-  t.schema = Schema(std::move(cols));
-  auto nattrs = r.U32();
-  SJOIN_RETURN_IF_ERROR(nattrs.status());
-  for (uint32_t i = 0; i < *nattrs; ++i) {
-    auto aname = r.Str();
-    SJOIN_RETURN_IF_ERROR(aname.status());
-    t.attr_columns.push_back(*aname);
-  }
-  auto nrows = r.U32();
-  SJOIN_RETURN_IF_ERROR(nrows.status());
-  for (uint32_t i = 0; i < *nrows; ++i) {
-    auto row = ReadEncryptedRow(&r);
-    SJOIN_RETURN_IF_ERROR(row.status());
-    t.rows.push_back(std::move(*row));
-  }
-  if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes after table");
-  return t;
-}
+namespace {
 
-Bytes SerializeJoinQueryTokens(const JoinQueryTokens& tokens) {
-  WireWriter w;
-  WriteHeader(&w, kTagQuery);
-  w.Str(tokens.table_a);
-  w.Str(tokens.table_b);
-  w.U8(tokens.use_sse_prefilter ? 1 : 0);
-  for (const SjToken* tk : {&tokens.token_a, &tokens.token_b}) {
-    w.U32(static_cast<uint32_t>(tk->tk.size()));
-    for (const G1Affine& p : tk->tk) WriteG1Point(&w, p);
+/// List and Aligned for both adapters: a u32 count, then the elements.
+/// Aligned lists share one count and interleave their elements per index.
+template <typename Io>
+class ListOps {
+ public:
+  template <typename F, typename V, typename... Rest>
+  Status Aligned(F elem, V& first, Rest&... rest) {
+    uint32_t n = 0;
+    SJOIN_RETURN_IF_ERROR(io().Count(first, n));
+    return io().Items(n, elem, first, rest...);
   }
-  WriteSseGroups(&w, tokens.sse_a);
-  WriteSseGroups(&w, tokens.sse_b);
-  return w.Take();
-}
+  template <typename V, typename F>
+  Status List(V& v, F elem) { return Aligned(elem, v); }
+  template <typename V>
+  Status List(V& v) {
+    return Aligned([this](auto& e) { return io().Field(e); }, v);
+  }
 
-Result<JoinQueryTokens> DeserializeJoinQueryTokens(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagQuery));
-  JoinQueryTokens out;
-  auto ta = r.Str();
-  SJOIN_RETURN_IF_ERROR(ta.status());
-  out.table_a = *ta;
-  auto tb = r.Str();
-  SJOIN_RETURN_IF_ERROR(tb.status());
-  out.table_b = *tb;
-  auto sse = r.U8();
-  SJOIN_RETURN_IF_ERROR(sse.status());
-  out.use_sse_prefilter = (*sse != 0);
-  for (SjToken* tk : {&out.token_a, &out.token_b}) {
-    auto dim = r.U32();
-    SJOIN_RETURN_IF_ERROR(dim.status());
-    for (uint32_t j = 0; j < *dim; ++j) {
-      auto p = ReadG1Point(&r);
-      SJOIN_RETURN_IF_ERROR(p.status());
-      tk->tk.push_back(*p);
-    }
-  }
-  auto ga = ReadSseGroups(&r);
-  SJOIN_RETURN_IF_ERROR(ga.status());
-  out.sse_a = std::move(*ga);
-  auto gb = ReadSseGroups(&r);
-  SJOIN_RETURN_IF_ERROR(gb.status());
-  out.sse_b = std::move(*gb);
-  if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes after query");
-  return out;
-}
+ private:
+  Io& io() { return static_cast<Io&>(*this); }
+};
 
-Bytes SerializeJoinResult(const EncryptedJoinResult& result) {
-  WireWriter w;
-  WriteHeader(&w, kTagResult);
-  w.U32(static_cast<uint32_t>(result.row_pairs.size()));
-  for (const auto& [a, b] : result.row_pairs) {
-    WriteAead(&w, a);
-    WriteAead(&w, b);
-  }
-  w.U32(static_cast<uint32_t>(result.matched_row_indices.size()));
-  for (const JoinedRowPair& p : result.matched_row_indices) {
-    w.U64(p.row_a);
-    w.U64(p.row_b);
-  }
-  w.U64(result.stats.rows_total_a);
-  w.U64(result.stats.rows_total_b);
-  w.U64(result.stats.rows_selected_a);
-  w.U64(result.stats.rows_selected_b);
-  w.U64(result.stats.result_pairs);
-  return w.Take();
-}
+class Encoder : public ListOps<Encoder> {
+ public:
+  static constexpr bool kDecode = false;
+  explicit Encoder(WireWriter& w) : w_(w) {}
 
-Result<EncryptedJoinResult> DeserializeJoinResult(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagResult));
-  EncryptedJoinResult out;
-  auto npairs = r.U32();
-  SJOIN_RETURN_IF_ERROR(npairs.status());
-  for (uint32_t i = 0; i < *npairs; ++i) {
-    auto a = ReadAead(&r);
-    SJOIN_RETURN_IF_ERROR(a.status());
-    auto b = ReadAead(&r);
-    SJOIN_RETURN_IF_ERROR(b.status());
-    out.row_pairs.emplace_back(std::move(*a), std::move(*b));
-  }
-  auto nidx = r.U32();
-  SJOIN_RETURN_IF_ERROR(nidx.status());
-  for (uint32_t i = 0; i < *nidx; ++i) {
-    auto a = r.U64();
-    SJOIN_RETURN_IF_ERROR(a.status());
-    auto b = r.U64();
-    SJOIN_RETURN_IF_ERROR(b.status());
-    out.matched_row_indices.push_back(
-        JoinedRowPair{static_cast<size_t>(*a), static_cast<size_t>(*b)});
-  }
-  auto read_u64 = [&](size_t* dst) -> Status {
-    auto v = r.U64();
-    SJOIN_RETURN_IF_ERROR(v.status());
-    *dst = static_cast<size_t>(*v);
+  template <typename... T>
+  Status U8(const T&... v) {
+    (w_.U8(static_cast<uint8_t>(v)), ...);
     return Status::OK();
-  };
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.rows_total_a));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.rows_total_b));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.rows_selected_a));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.rows_selected_b));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.result_pairs));
-  if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes after result");
-  return out;
+  }
+  template <typename... T>
+  Status U32(const T&... v) {
+    (w_.U32(static_cast<uint32_t>(v)), ...);
+    return Status::OK();
+  }
+  template <typename... T>
+  Status U64(const T&... v) {
+    (w_.U64(static_cast<uint64_t>(v)), ...);
+    return Status::OK();
+  }
+  template <typename... T>
+  Status Field(const T&... v) {
+    (One(v), ...);
+    return Status::OK();
+  }
+
+  template <typename V>
+  Status Count(const V& v, uint32_t& n) {
+    n = static_cast<uint32_t>(v.size());
+    return U32(n);
+  }
+  template <typename F, typename... V>
+  Status Items(uint32_t n, F elem, const V&... lists) {
+    for (uint32_t i = 0; i < n; ++i) (void)elem(lists[i]...);
+    return Status::OK();
+  }
+
+ private:
+  void One(const std::string& s) { w_.Str(s); }
+  void One(const Bytes& b) { w_.Blob(b); }
+  template <size_t N>
+  void One(const std::array<uint8_t, N>& a) { w_.Raw(a.data(), N); }
+  void One(const G1Affine& p) { WriteG1Point(&w_, p); }
+  void One(const G2Affine& p) { WriteG2Point(&w_, p); }
+
+  WireWriter& w_;
+};
+
+class Decoder : public ListOps<Decoder> {
+ public:
+  static constexpr bool kDecode = true;
+  explicit Decoder(WireReader& r) : r_(r) {}
+
+  template <typename... T>
+  Status U8(T&... v) {
+    return Each([this](auto& x) { return Take(r_.U8(), x); }, v...);
+  }
+  template <typename... T>
+  Status U32(T&... v) {
+    return Each([this](auto& x) { return Take(r_.U32(), x); }, v...);
+  }
+  template <typename... T>
+  Status U64(T&... v) {
+    return Each([this](auto& x) { return Take(r_.U64(), x); }, v...);
+  }
+  template <typename... T>
+  Status Field(T&... v) {
+    return Each([this](auto& x) { return One(x); }, v...);
+  }
+
+  template <typename V>
+  Status Count(const V& /*v*/, uint32_t& n) { return U32(n); }
+  /// Appends one element per list and index as its bytes are read: the
+  /// count is untrusted, so nothing is reserved from it.
+  template <typename F, typename... V>
+  Status Items(uint32_t n, F elem, V&... lists) {
+    for (uint32_t i = 0; i < n; ++i) {
+      SJOIN_RETURN_IF_ERROR(elem(lists.emplace_back()...));
+    }
+    return Status::OK();
+  }
+
+ private:
+  /// Applies f to each field in order; stops at the first error.
+  template <typename F, typename... T>
+  static Status Each(F f, T&... v) {
+    Status st;
+    (void)(... && (st = f(v)).ok());
+    return st;
+  }
+  template <typename R, typename T>
+  static Status Take(Result<R> r, T& out) {
+    SJOIN_RETURN_IF_ERROR(r.status());
+    out = static_cast<T>(std::move(*r));
+    return Status::OK();
+  }
+
+  Status One(std::string& s) { return Take(r_.Str(), s); }
+  Status One(Bytes& b) { return Take(r_.Blob(), b); }
+  template <size_t N>
+  Status One(std::array<uint8_t, N>& a) { return r_.Raw(a.data(), N); }
+  Status One(G1Affine& p) { return Take(ReadG1Point(&r_), p); }
+  Status One(G2Affine& p) { return Take(ReadG2Point(&r_), p); }
+
+  WireReader& r_;
+};
+
+/// Writes the version/tag header, then the fields. Never fails.
+template <typename M>
+Bytes Encode(uint8_t tag, const M& m, Status (*fields)(Encoder&, const M&)) {
+  WireWriter w;
+  Encoder io(w);
+  (void)io.U8(kWireVersion, tag);
+  (void)fields(io, m);
+  return w.Take();
 }
 
-Bytes SerializeQuerySeries(const QuerySeriesTokens& series) {
-  WireWriter w;
-  WriteHeader(&w, kTagQuerySeries);
-  w.U32(static_cast<uint32_t>(series.queries.size()));
-  for (const JoinQueryTokens& q : series.queries) {
-    w.Blob(SerializeJoinQueryTokens(q));
+/// Checks the version/tag header, decodes the fields, refuses leftovers.
+template <typename M>
+Result<M> Decode(const Bytes& wire, uint8_t tag, const char* what,
+                 Status (*fields)(Decoder&, M&)) {
+  WireReader r(wire);
+  Decoder io(r);
+  uint8_t version = 0, got = 0;
+  SJOIN_RETURN_IF_ERROR(io.U8(version));
+  if (version != kWireVersion) {
+    return Status::InvalidArgument(
+        "unsupported wire version " + std::to_string(version) +
+        " (expected " + std::to_string(kWireVersion) + ")");
   }
+  SJOIN_RETURN_IF_ERROR(io.U8(got));
+  if (got != tag) return Status::InvalidArgument("wrong message type tag");
+  M m;
+  SJOIN_RETURN_IF_ERROR(fields(io, m));
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument(std::string("trailing bytes after ") + what);
+  }
+  return m;
+}
+
+/// A message carried whole, header included, inside a blob.
+template <typename M>
+Status Nested(Encoder& io, uint8_t tag, const char* /*what*/, const M& m,
+              Status (*fields)(Encoder&, const M&)) {
+  return io.Field(Encode(tag, m, fields));
+}
+template <typename M>
+Status Nested(Decoder& io, uint8_t tag, const char* what, M& m,
+              Status (*fields)(Decoder&, M&)) {
+  Bytes blob;
+  SJOIN_RETURN_IF_ERROR(io.Field(blob));
+  auto inner = Decode<M>(blob, tag, what, fields);
+  SJOIN_RETURN_IF_ERROR(inner.status());
+  m = std::move(*inner);
+  return Status::OK();
+}
+
+// --- Shared field templates --------------------------------------------------
+
+template <typename Io, typename C>
+Status AeadFields(Io& io, C& ct) {
+  return io.Field(ct.nonce, ct.body, ct.tag);
+}
+
+// Row codec shared by the table upload, the mutation insert list and the
+// shard messages. A backend-encoding flag byte follows the payload, then
+// the optional det tag and onion (nonce, wrapped tag); rows without
+// encodings cost one extra zero byte.
+template <typename Io, typename R>
+Status RowFields(Io& io, R& row) {
+  SJOIN_RETURN_IF_ERROR(io.List(row.sj.c));
+  SJOIN_RETURN_IF_ERROR(io.Field(row.sse.salt));
+  SJOIN_RETURN_IF_ERROR(io.List(row.sse.tags));
+  SJOIN_RETURN_IF_ERROR(AeadFields(io, row.payload));
+  uint8_t flags = (row.enc.has_det ? kRowFlagDet : 0) |
+                  (row.enc.has_onion ? kRowFlagOnion : 0);
+  SJOIN_RETURN_IF_ERROR(io.U8(flags));
+  if constexpr (Io::kDecode) {
+    if ((flags & ~(kRowFlagDet | kRowFlagOnion)) != 0) {
+      return Status::InvalidArgument("unknown row encoding flags");
+    }
+    row.enc.has_det = (flags & kRowFlagDet) != 0;
+    row.enc.has_onion = (flags & kRowFlagOnion) != 0;
+  }
+  if (row.enc.has_det) SJOIN_RETURN_IF_ERROR(io.Field(row.enc.det_tag));
+  if (!row.enc.has_onion) return Status::OK();
+  return io.Field(row.enc.onion_nonce, row.enc.onion_wrapped);
+}
+
+template <typename Io, typename V>
+Status SseGroupsFields(Io& io, V& groups) {
+  return io.List(groups, [&](auto& g) -> Status {
+    SJOIN_RETURN_IF_ERROR(io.U32(g.column_index));
+    return io.List(g.tokens);
+  });
+}
+
+template <typename Io, typename V>
+Status IdListFields(Io& io, V& ids) {
+  return io.List(ids, [&](auto& id) { return io.U64(id); });
+}
+
+// --- Message field templates -------------------------------------------------
+
+template <typename Io, typename M>
+Status TableFields(Io& io, M& t) {
+  SJOIN_RETURN_IF_ERROR(io.Field(t.name, t.join_column));
+  // A Schema is built whole: the encoder walks a copy of its columns, the
+  // decoder collects them and builds the schema after the list.
+  std::vector<Column> columns = t.schema.columns();
+  SJOIN_RETURN_IF_ERROR(io.List(columns, [&](auto& c) -> Status {
+    uint8_t kind = static_cast<uint8_t>(c.kind);
+    SJOIN_RETURN_IF_ERROR(io.Field(c.name));
+    SJOIN_RETURN_IF_ERROR(io.U8(kind));
+    if constexpr (Io::kDecode) {
+      if (kind > static_cast<uint8_t>(ValueKind::kString)) {
+        return Status::InvalidArgument("bad column kind");
+      }
+      c.kind = static_cast<ValueKind>(kind);
+    }
+    return Status::OK();
+  }));
+  if constexpr (Io::kDecode) t.schema = Schema(std::move(columns));
+  SJOIN_RETURN_IF_ERROR(io.List(t.attr_columns));
+  return io.List(t.rows, [&](auto& row) { return RowFields(io, row); });
+}
+
+template <typename Io, typename M>
+Status QueryFields(Io& io, M& q) {
+  SJOIN_RETURN_IF_ERROR(io.Field(q.table_a, q.table_b));
+  SJOIN_RETURN_IF_ERROR(io.U8(q.use_sse_prefilter));
+  SJOIN_RETURN_IF_ERROR(io.List(q.token_a.tk));
+  SJOIN_RETURN_IF_ERROR(io.List(q.token_b.tk));
+  SJOIN_RETURN_IF_ERROR(SseGroupsFields(io, q.sse_a));
+  return SseGroupsFields(io, q.sse_b);
+}
+
+template <typename Io, typename M>
+Status JoinResultFields(Io& io, M& res) {
+  SJOIN_RETURN_IF_ERROR(io.List(res.row_pairs, [&](auto& p) -> Status {
+    SJOIN_RETURN_IF_ERROR(AeadFields(io, p.first));
+    return AeadFields(io, p.second);
+  }));
+  SJOIN_RETURN_IF_ERROR(io.List(res.matched_row_indices, [&](auto& p) {
+    return io.U64(p.row_a, p.row_b);
+  }));
+  auto& s = res.stats;
+  return io.U64(s.rows_total_a, s.rows_total_b, s.rows_selected_a,
+                s.rows_selected_b, s.result_pairs);
+}
+
+template <typename Io, typename M>
+Status SeriesFields(Io& io, M& series) {
+  SJOIN_RETURN_IF_ERROR(io.List(series.queries, [&](auto& q) {
+    return Nested(io, kTagQuery, "query", q, QueryFields);
+  }));
   // Backend policy: the client-side ceiling on server-side dispatch, plus
   // the onion-key release when the policy permits that backend. The
   // session id does not travel: the server executes every request under
   // the session of the connection it arrived on.
-  w.U32(series.allowed_backends);
-  w.U8(series.has_onion_key ? 1 : 0);
-  if (series.has_onion_key) {
-    w.Raw(series.onion_key.data(), series.onion_key.size());
-  }
-  return w.Take();
+  SJOIN_RETURN_IF_ERROR(io.U32(series.allowed_backends));
+  SJOIN_RETURN_IF_ERROR(io.U8(series.has_onion_key));
+  if (series.has_onion_key) return io.Field(series.onion_key);
+  return Status::OK();
 }
 
-Result<QuerySeriesTokens> DeserializeQuerySeries(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagQuerySeries));
-  auto count = r.U32();
-  SJOIN_RETURN_IF_ERROR(count.status());
-  QuerySeriesTokens out;
-  // No reserve(*count): the count is untrusted wire input; growth stays
-  // bounded by the bytes actually present.
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto blob = r.Blob();
-    SJOIN_RETURN_IF_ERROR(blob.status());
-    auto q = DeserializeJoinQueryTokens(*blob);
-    SJOIN_RETURN_IF_ERROR(q.status());
-    out.queries.push_back(std::move(*q));
-  }
-  auto mask = r.U32();
-  SJOIN_RETURN_IF_ERROR(mask.status());
-  out.allowed_backends = *mask;
-  auto has_key = r.U8();
-  SJOIN_RETURN_IF_ERROR(has_key.status());
-  out.has_onion_key = (*has_key != 0);
-  if (out.has_onion_key) {
-    SJOIN_RETURN_IF_ERROR(r.Raw(out.onion_key.data(), out.onion_key.size()));
-  }
-  if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes after series");
-  return out;
-}
-
-Bytes SerializeSeriesResult(const EncryptedSeriesResult& result) {
-  WireWriter w;
-  WriteHeader(&w, kTagSeriesResult);
-  w.U32(static_cast<uint32_t>(result.results.size()));
-  for (const EncryptedJoinResult& res : result.results) {
-    w.Blob(SerializeJoinResult(res));
-  }
-  w.U64(result.stats.queries);
-  w.U64(result.stats.decrypts_requested);
-  w.U64(result.stats.decrypts_performed);
-  w.U64(result.stats.digest_cache_hits);
-  w.U64(result.stats.pairings_computed);
-  w.U64(result.stats.prepared_pairings);
-  w.U64(result.stats.prepared_rows_built);
-  w.U64(result.stats.prepared_cache_hits);
+template <typename Io, typename M>
+Status SeriesResultFields(Io& io, M& res) {
+  SJOIN_RETURN_IF_ERROR(io.List(res.results, [&](auto& r) {
+    return Nested(io, kTagResult, "result", r, JoinResultFields);
+  }));
+  auto& s = res.stats;
+  SJOIN_RETURN_IF_ERROR(
+      io.U64(s.queries, s.decrypts_requested, s.decrypts_performed,
+             s.digest_cache_hits, s.pairings_computed, s.prepared_pairings,
+             s.prepared_rows_built, s.prepared_cache_hits));
   // The adaptive executor's decision trail -- per-backend query counts,
   // total pairs charged, and the budget ledger of every table the batch
   // touched.
-  w.U64(result.stats.backend_sjoin_queries);
-  w.U64(result.stats.backend_det_queries);
-  w.U64(result.stats.backend_onion_queries);
-  w.U64(result.stats.leakage_charged);
-  w.U32(static_cast<uint32_t>(result.stats.budgets.size()));
-  for (const SeriesExecStats::TableBudget& b : result.stats.budgets) {
-    w.Str(b.table);
-    w.U64(b.limit);
-    w.U64(b.spent);
-    w.U64(b.remaining);
-  }
-  return w.Take();
+  SJOIN_RETURN_IF_ERROR(io.U64(s.backend_sjoin_queries, s.backend_det_queries,
+                               s.backend_onion_queries, s.leakage_charged));
+  return io.List(s.budgets, [&](auto& b) -> Status {
+    SJOIN_RETURN_IF_ERROR(io.Field(b.table));
+    return io.U64(b.limit, b.spent, b.remaining);
+  });
 }
 
-Result<EncryptedSeriesResult> DeserializeSeriesResult(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagSeriesResult));
-  auto count = r.U32();
-  SJOIN_RETURN_IF_ERROR(count.status());
-  EncryptedSeriesResult out;
-  // No reserve(*count): untrusted count, same as DeserializeQuerySeries.
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto blob = r.Blob();
-    SJOIN_RETURN_IF_ERROR(blob.status());
-    auto res = DeserializeJoinResult(*blob);
-    SJOIN_RETURN_IF_ERROR(res.status());
-    out.results.push_back(std::move(*res));
-  }
-  auto read_u64 = [&](size_t* dst) -> Status {
-    auto v = r.U64();
-    SJOIN_RETURN_IF_ERROR(v.status());
-    *dst = static_cast<size_t>(*v);
+template <typename Io, typename M>
+Status MutationFields(Io& io, M& m) {
+  SJOIN_RETURN_IF_ERROR(io.Field(m.table));
+  SJOIN_RETURN_IF_ERROR(io.U64(m.base_generation));
+  SJOIN_RETURN_IF_ERROR(IdListFields(io, m.deletes));
+  return io.List(m.inserts, [&](auto& row) { return RowFields(io, row); });
+}
+
+template <typename Io, typename M>
+Status MutationResultFields(Io& io, M& res) {
+  SJOIN_RETURN_IF_ERROR(io.U64(res.generation));
+  return IdListFields(io, res.inserted_ids);
+}
+
+template <typename Io, typename M>
+Status ShardAssignmentFields(Io& io, M& a) {
+  SJOIN_RETURN_IF_ERROR(io.Field(a.table));
+  SJOIN_RETURN_IF_ERROR(io.U64(a.generation));
+  SJOIN_RETURN_IF_ERROR(io.U32(a.shard));
+  // (id, row) pairs under one count.
+  return io.Aligned(
+      [&](auto& id, auto& row) -> Status {
+        SJOIN_RETURN_IF_ERROR(io.U64(id));
+        return RowFields(io, row);
+      },
+      a.row_ids, a.rows);
+}
+
+template <typename Io, typename M>
+Status ShardAckFields(Io& io, M& ack) {
+  return io.U64(ack.generation, ack.rows_held);
+}
+
+template <typename Io, typename M>
+Status ShardDecryptFields(Io& io, M& req) {
+  SJOIN_RETURN_IF_ERROR(io.Field(req.table));
+  SJOIN_RETURN_IF_ERROR(io.U64(req.generation));
+  SJOIN_RETURN_IF_ERROR(io.U32(req.shard));
+  SJOIN_RETURN_IF_ERROR(io.List(req.token.tk));
+  return IdListFields(io, req.rows);
+}
+
+template <typename Io, typename M>
+Status ShardDigestsFields(Io& io, M& resp) {
+  size_t present = 0;
+  SJOIN_RETURN_IF_ERROR(io.List(resp.have, [&](auto& h) -> Status {
+    uint8_t bit = h ? 1 : 0;
+    SJOIN_RETURN_IF_ERROR(io.U8(bit));
+    if constexpr (Io::kDecode) {
+      if (bit > 1) {
+        return Status::InvalidArgument("shard digest presence byte not 0/1");
+      }
+      h = bit;
+    }
+    present += bit;
     return Status::OK();
-  };
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.queries));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.decrypts_requested));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.decrypts_performed));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.digest_cache_hits));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.pairings_computed));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.prepared_pairings));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.prepared_rows_built));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.prepared_cache_hits));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.backend_sjoin_queries));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.backend_det_queries));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.backend_onion_queries));
-  auto charged = r.U64();
-  SJOIN_RETURN_IF_ERROR(charged.status());
-  out.stats.leakage_charged = *charged;
-  auto nbudgets = r.U32();
-  SJOIN_RETURN_IF_ERROR(nbudgets.status());
-  // No reserve(*nbudgets): untrusted count, same as the results above.
-  for (uint32_t i = 0; i < *nbudgets; ++i) {
-    SeriesExecStats::TableBudget b;
-    auto tname = r.Str();
-    SJOIN_RETURN_IF_ERROR(tname.status());
-    b.table = std::move(*tname);
-    auto limit = r.U64();
-    SJOIN_RETURN_IF_ERROR(limit.status());
-    b.limit = *limit;
-    auto spent = r.U64();
-    SJOIN_RETURN_IF_ERROR(spent.status());
-    b.spent = *spent;
-    auto remaining = r.U64();
-    SJOIN_RETURN_IF_ERROR(remaining.status());
-    b.remaining = *remaining;
-    out.stats.budgets.push_back(std::move(b));
+  }));
+  // The digest count is implied by the bitmap; it still travels, and a
+  // decoder refuses a count that disagrees before reading any digest.
+  uint32_t ndigests = 0;
+  SJOIN_RETURN_IF_ERROR(io.Count(resp.digests, ndigests));
+  if constexpr (Io::kDecode) {
+    if (ndigests != present) {
+      return Status::InvalidArgument(
+          "shard digest count does not match presence bitmap");
+    }
   }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after series result");
-  }
-  return out;
+  SJOIN_RETURN_IF_ERROR(io.Items(
+      ndigests, [&](auto& d) { return io.Field(d); }, resp.digests));
+  auto& s = resp.stats;
+  return io.U64(s.decrypts_performed, s.pairings_computed,
+                s.prepared_pairings, s.prepared_rows_built,
+                s.prepared_cache_hits);
 }
 
-Bytes SerializeTableMutation(const TableMutation& mutation) {
-  WireWriter w;
-  WriteHeader(&w, kTagMutation);
-  w.Str(mutation.table);
-  w.U64(mutation.base_generation);
-  w.U32(static_cast<uint32_t>(mutation.deletes.size()));
-  for (StableRowId id : mutation.deletes) w.U64(id);
-  w.U32(static_cast<uint32_t>(mutation.inserts.size()));
-  for (const EncryptedRow& row : mutation.inserts) WriteEncryptedRow(&w, row);
-  return w.Take();
+template <typename Io, typename M>
+Status ShardMutationFields(Io& io, M& m) {
+  SJOIN_RETURN_IF_ERROR(io.Field(m.table));
+  SJOIN_RETURN_IF_ERROR(io.U64(m.new_generation));
+  SJOIN_RETURN_IF_ERROR(IdListFields(io, m.deletes));
+  // (id, shard, row) triples under one count.
+  return io.Aligned(
+      [&](auto& id, auto& shard, auto& row) -> Status {
+        SJOIN_RETURN_IF_ERROR(io.U64(id));
+        SJOIN_RETURN_IF_ERROR(io.U32(shard));
+        return RowFields(io, row);
+      },
+      m.insert_ids, m.insert_shards, m.inserts);
 }
 
-Result<TableMutation> DeserializeTableMutation(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagMutation));
-  TableMutation out;
-  auto name = r.Str();
-  SJOIN_RETURN_IF_ERROR(name.status());
-  out.table = *name;
-  auto base = r.U64();
-  SJOIN_RETURN_IF_ERROR(base.status());
-  out.base_generation = *base;
-  auto ndel = r.U32();
-  SJOIN_RETURN_IF_ERROR(ndel.status());
-  // No reserve(*ndel): untrusted count, same as DeserializeQuerySeries.
-  for (uint32_t i = 0; i < *ndel; ++i) {
-    auto id = r.U64();
-    SJOIN_RETURN_IF_ERROR(id.status());
-    out.deletes.push_back(*id);
-  }
-  auto nins = r.U32();
-  SJOIN_RETURN_IF_ERROR(nins.status());
-  for (uint32_t i = 0; i < *nins; ++i) {
-    auto row = ReadEncryptedRow(&r);
-    SJOIN_RETURN_IF_ERROR(row.status());
-    out.inserts.push_back(std::move(*row));
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after mutation");
-  }
-  return out;
-}
-
-Bytes SerializeMutationResult(const MutationResult& result) {
-  WireWriter w;
-  WriteHeader(&w, kTagMutationResult);
-  w.U64(result.generation);
-  w.U32(static_cast<uint32_t>(result.inserted_ids.size()));
-  for (StableRowId id : result.inserted_ids) w.U64(id);
-  return w.Take();
-}
-
-Result<MutationResult> DeserializeMutationResult(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagMutationResult));
-  MutationResult out;
-  auto gen = r.U64();
-  SJOIN_RETURN_IF_ERROR(gen.status());
-  out.generation = *gen;
-  auto count = r.U32();
-  SJOIN_RETURN_IF_ERROR(count.status());
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto id = r.U64();
-    SJOIN_RETURN_IF_ERROR(id.status());
-    out.inserted_ids.push_back(*id);
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after mutation result");
-  }
-  return out;
-}
-
-// --- Distributed-execution messages ------------------------------------------
-
-namespace {
-
-void WriteSjToken(WireWriter* w, const SjToken& token) {
-  w->U32(static_cast<uint32_t>(token.tk.size()));
-  for (const G1Affine& p : token.tk) WriteG1Point(w, p);
-}
-
-Result<SjToken> ReadSjToken(WireReader* r) {
-  auto dim = r->U32();
-  SJOIN_RETURN_IF_ERROR(dim.status());
-  SjToken token;
-  // No reserve(*dim): untrusted count, same as DeserializeQuerySeries.
-  for (uint32_t i = 0; i < *dim; ++i) {
-    auto p = ReadG1Point(r);
-    SJOIN_RETURN_IF_ERROR(p.status());
-    token.tk.push_back(*p);
-  }
-  return token;
-}
-
-Result<std::vector<StableRowId>> ReadIdList(WireReader* r) {
-  auto count = r->U32();
-  SJOIN_RETURN_IF_ERROR(count.status());
-  std::vector<StableRowId> ids;
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto id = r->U64();
-    SJOIN_RETURN_IF_ERROR(id.status());
-    ids.push_back(*id);
-  }
-  return ids;
-}
-
-void WriteIdList(WireWriter* w, const std::vector<StableRowId>& ids) {
-  w->U32(static_cast<uint32_t>(ids.size()));
-  for (StableRowId id : ids) w->U64(id);
+template <typename Io, typename M>
+Status WorkerHealthFields(Io& io, M& h) {
+  return io.U64(h.tables, h.shards_held, h.rows_held, h.decrypt_requests,
+                h.digests_computed);
 }
 
 }  // namespace
 
-Bytes SerializeShardAssignment(const ShardAssignment& assign) {
-  WireWriter w;
-  WriteHeader(&w, kTagShardAssign);
-  w.Str(assign.table);
-  w.U64(assign.generation);
-  w.U32(assign.shard);
-  // One count governs both aligned lists: (id, row) pairs interleaved, so
-  // a truncated payload can never desynchronize them.
-  w.U32(static_cast<uint32_t>(assign.rows.size()));
-  for (size_t i = 0; i < assign.rows.size(); ++i) {
-    w.U64(assign.row_ids[i]);
-    WriteEncryptedRow(&w, assign.rows[i]);
-  }
-  return w.Take();
+// --- Message codecs ----------------------------------------------------------
+
+Bytes SerializeEncryptedTable(const EncryptedTable& table) {
+  return Encode(kTagTable, table, TableFields);
+}
+Result<EncryptedTable> DeserializeEncryptedTable(const Bytes& wire) {
+  return Decode<EncryptedTable>(wire, kTagTable, "table", TableFields);
 }
 
+Bytes SerializeJoinQueryTokens(const JoinQueryTokens& tokens) {
+  return Encode(kTagQuery, tokens, QueryFields);
+}
+Result<JoinQueryTokens> DeserializeJoinQueryTokens(const Bytes& wire) {
+  return Decode<JoinQueryTokens>(wire, kTagQuery, "query", QueryFields);
+}
+
+Bytes SerializeJoinResult(const EncryptedJoinResult& result) {
+  return Encode(kTagResult, result, JoinResultFields);
+}
+Result<EncryptedJoinResult> DeserializeJoinResult(const Bytes& wire) {
+  return Decode<EncryptedJoinResult>(wire, kTagResult, "result",
+                                     JoinResultFields);
+}
+
+Bytes SerializeQuerySeries(const QuerySeriesTokens& series) {
+  return Encode(kTagQuerySeries, series, SeriesFields);
+}
+Result<QuerySeriesTokens> DeserializeQuerySeries(const Bytes& wire) {
+  return Decode<QuerySeriesTokens>(wire, kTagQuerySeries, "series",
+                                   SeriesFields);
+}
+
+Bytes SerializeSeriesResult(const EncryptedSeriesResult& result) {
+  return Encode(kTagSeriesResult, result, SeriesResultFields);
+}
+Result<EncryptedSeriesResult> DeserializeSeriesResult(const Bytes& wire) {
+  return Decode<EncryptedSeriesResult>(wire, kTagSeriesResult,
+                                       "series result", SeriesResultFields);
+}
+
+Bytes SerializeTableMutation(const TableMutation& mutation) {
+  return Encode(kTagMutation, mutation, MutationFields);
+}
+Result<TableMutation> DeserializeTableMutation(const Bytes& wire) {
+  return Decode<TableMutation>(wire, kTagMutation, "mutation", MutationFields);
+}
+
+Bytes SerializeMutationResult(const MutationResult& result) {
+  return Encode(kTagMutationResult, result, MutationResultFields);
+}
+Result<MutationResult> DeserializeMutationResult(const Bytes& wire) {
+  return Decode<MutationResult>(wire, kTagMutationResult, "mutation result",
+                                MutationResultFields);
+}
+
+Bytes SerializeShardAssignment(const ShardAssignment& assign) {
+  return Encode(kTagShardAssign, assign, ShardAssignmentFields);
+}
 Result<ShardAssignment> DeserializeShardAssignment(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardAssign));
-  ShardAssignment out;
-  auto name = r.Str();
-  SJOIN_RETURN_IF_ERROR(name.status());
-  out.table = std::move(*name);
-  auto gen = r.U64();
-  SJOIN_RETURN_IF_ERROR(gen.status());
-  out.generation = *gen;
-  auto shard = r.U32();
-  SJOIN_RETURN_IF_ERROR(shard.status());
-  out.shard = *shard;
-  auto count = r.U32();
-  SJOIN_RETURN_IF_ERROR(count.status());
-  // No reserve(*count): untrusted count, same as DeserializeQuerySeries.
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto id = r.U64();
-    SJOIN_RETURN_IF_ERROR(id.status());
-    out.row_ids.push_back(*id);
-    auto row = ReadEncryptedRow(&r);
-    SJOIN_RETURN_IF_ERROR(row.status());
-    out.rows.push_back(std::move(*row));
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after shard assignment");
-  }
-  return out;
+  return Decode<ShardAssignment>(wire, kTagShardAssign, "shard assignment",
+                                 ShardAssignmentFields);
 }
 
 Bytes SerializeShardAck(const ShardAck& ack) {
-  WireWriter w;
-  WriteHeader(&w, kTagShardAck);
-  w.U64(ack.generation);
-  w.U64(ack.rows_held);
-  return w.Take();
+  return Encode(kTagShardAck, ack, ShardAckFields);
 }
-
 Result<ShardAck> DeserializeShardAck(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardAck));
-  ShardAck out;
-  auto gen = r.U64();
-  SJOIN_RETURN_IF_ERROR(gen.status());
-  out.generation = *gen;
-  auto rows = r.U64();
-  SJOIN_RETURN_IF_ERROR(rows.status());
-  out.rows_held = *rows;
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after shard ack");
-  }
-  return out;
+  return Decode<ShardAck>(wire, kTagShardAck, "shard ack", ShardAckFields);
 }
 
 Bytes SerializeShardDecryptRequest(const ShardDecryptRequest& request) {
-  WireWriter w;
-  WriteHeader(&w, kTagShardDecrypt);
-  w.Str(request.table);
-  w.U64(request.generation);
-  w.U32(request.shard);
-  WriteSjToken(&w, request.token);
-  WriteIdList(&w, request.rows);
-  return w.Take();
+  return Encode(kTagShardDecrypt, request, ShardDecryptFields);
 }
-
 Result<ShardDecryptRequest> DeserializeShardDecryptRequest(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardDecrypt));
-  ShardDecryptRequest out;
-  auto name = r.Str();
-  SJOIN_RETURN_IF_ERROR(name.status());
-  out.table = std::move(*name);
-  auto gen = r.U64();
-  SJOIN_RETURN_IF_ERROR(gen.status());
-  out.generation = *gen;
-  auto shard = r.U32();
-  SJOIN_RETURN_IF_ERROR(shard.status());
-  out.shard = *shard;
-  auto token = ReadSjToken(&r);
-  SJOIN_RETURN_IF_ERROR(token.status());
-  out.token = std::move(*token);
-  auto rows = ReadIdList(&r);
-  SJOIN_RETURN_IF_ERROR(rows.status());
-  out.rows = std::move(*rows);
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after shard decrypt");
-  }
-  return out;
+  return Decode<ShardDecryptRequest>(wire, kTagShardDecrypt, "shard decrypt",
+                                     ShardDecryptFields);
 }
 
 Bytes SerializeShardDecryptResponse(const ShardDecryptResponse& response) {
-  WireWriter w;
-  WriteHeader(&w, kTagShardDigests);
-  w.U32(static_cast<uint32_t>(response.have.size()));
-  for (uint8_t h : response.have) w.U8(h ? 1 : 0);
-  w.U32(static_cast<uint32_t>(response.digests.size()));
-  for (const Digest32& d : response.digests) w.Raw(d.data(), d.size());
-  w.U64(response.stats.decrypts_performed);
-  w.U64(response.stats.pairings_computed);
-  w.U64(response.stats.prepared_pairings);
-  w.U64(response.stats.prepared_rows_built);
-  w.U64(response.stats.prepared_cache_hits);
-  return w.Take();
+  return Encode(kTagShardDigests, response, ShardDigestsFields);
 }
-
 Result<ShardDecryptResponse> DeserializeShardDecryptResponse(
     const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardDigests));
-  ShardDecryptResponse out;
-  auto nhave = r.U32();
-  SJOIN_RETURN_IF_ERROR(nhave.status());
-  size_t present = 0;
-  for (uint32_t i = 0; i < *nhave; ++i) {
-    auto h = r.U8();
-    SJOIN_RETURN_IF_ERROR(h.status());
-    if (*h > 1) {
-      return Status::InvalidArgument("shard digest presence byte not 0/1");
-    }
-    present += *h;
-    out.have.push_back(*h);
-  }
-  auto ndigests = r.U32();
-  SJOIN_RETURN_IF_ERROR(ndigests.status());
-  if (*ndigests != present) {
-    return Status::InvalidArgument(
-        "shard digest count does not match presence bitmap");
-  }
-  for (uint32_t i = 0; i < *ndigests; ++i) {
-    Digest32 d;
-    SJOIN_RETURN_IF_ERROR(r.Raw(d.data(), d.size()));
-    out.digests.push_back(d);
-  }
-  auto read_u64 = [&](size_t* dst) -> Status {
-    auto v = r.U64();
-    SJOIN_RETURN_IF_ERROR(v.status());
-    *dst = static_cast<size_t>(*v);
-    return Status::OK();
-  };
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.decrypts_performed));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.pairings_computed));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.prepared_pairings));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.prepared_rows_built));
-  SJOIN_RETURN_IF_ERROR(read_u64(&out.stats.prepared_cache_hits));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after shard digests");
-  }
-  return out;
+  return Decode<ShardDecryptResponse>(wire, kTagShardDigests, "shard digests",
+                                      ShardDigestsFields);
 }
 
 Bytes SerializeShardMutation(const ShardMutation& mutation) {
-  WireWriter w;
-  WriteHeader(&w, kTagShardMutation);
-  w.Str(mutation.table);
-  w.U64(mutation.new_generation);
-  WriteIdList(&w, mutation.deletes);
-  // One count governs the three aligned insert lists (interleaved).
-  w.U32(static_cast<uint32_t>(mutation.inserts.size()));
-  for (size_t i = 0; i < mutation.inserts.size(); ++i) {
-    w.U64(mutation.insert_ids[i]);
-    w.U32(mutation.insert_shards[i]);
-    WriteEncryptedRow(&w, mutation.inserts[i]);
-  }
-  return w.Take();
+  return Encode(kTagShardMutation, mutation, ShardMutationFields);
 }
-
 Result<ShardMutation> DeserializeShardMutation(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagShardMutation));
-  ShardMutation out;
-  auto name = r.Str();
-  SJOIN_RETURN_IF_ERROR(name.status());
-  out.table = std::move(*name);
-  auto gen = r.U64();
-  SJOIN_RETURN_IF_ERROR(gen.status());
-  out.new_generation = *gen;
-  auto deletes = ReadIdList(&r);
-  SJOIN_RETURN_IF_ERROR(deletes.status());
-  out.deletes = std::move(*deletes);
-  auto nins = r.U32();
-  SJOIN_RETURN_IF_ERROR(nins.status());
-  for (uint32_t i = 0; i < *nins; ++i) {
-    auto id = r.U64();
-    SJOIN_RETURN_IF_ERROR(id.status());
-    out.insert_ids.push_back(*id);
-    auto shard = r.U32();
-    SJOIN_RETURN_IF_ERROR(shard.status());
-    out.insert_shards.push_back(*shard);
-    auto row = ReadEncryptedRow(&r);
-    SJOIN_RETURN_IF_ERROR(row.status());
-    out.inserts.push_back(std::move(*row));
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after shard mutation");
-  }
-  return out;
+  return Decode<ShardMutation>(wire, kTagShardMutation, "shard mutation",
+                               ShardMutationFields);
 }
 
 Bytes SerializeWorkerHealthInfo(const WorkerHealthInfo& info) {
-  WireWriter w;
-  WriteHeader(&w, kTagWorkerHealth);
-  w.U64(info.tables);
-  w.U64(info.shards_held);
-  w.U64(info.rows_held);
-  w.U64(info.decrypt_requests);
-  w.U64(info.digests_computed);
-  return w.Take();
+  return Encode(kTagWorkerHealth, info, WorkerHealthFields);
 }
-
 Result<WorkerHealthInfo> DeserializeWorkerHealthInfo(const Bytes& wire) {
-  WireReader r(wire);
-  SJOIN_RETURN_IF_ERROR(ExpectHeader(&r, kTagWorkerHealth));
-  WorkerHealthInfo out;
-  auto read = [&](uint64_t* dst) -> Status {
-    auto v = r.U64();
-    SJOIN_RETURN_IF_ERROR(v.status());
-    *dst = *v;
-    return Status::OK();
-  };
-  SJOIN_RETURN_IF_ERROR(read(&out.tables));
-  SJOIN_RETURN_IF_ERROR(read(&out.shards_held));
-  SJOIN_RETURN_IF_ERROR(read(&out.rows_held));
-  SJOIN_RETURN_IF_ERROR(read(&out.decrypt_requests));
-  SJOIN_RETURN_IF_ERROR(read(&out.digests_computed));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after worker health");
-  }
-  return out;
+  return Decode<WorkerHealthInfo>(wire, kTagWorkerHealth, "worker health",
+                                  WorkerHealthFields);
 }
 
 }  // namespace sjoin

@@ -8,6 +8,11 @@
 // is built from this tree, so writers emit v8 and readers accept v8 only:
 // any other stamp is rejected with a versioned InvalidArgument before a
 // field is read. A message carries only fields its receiver reads.
+//
+// Each message's layout is stated once, in wire.cc, as a field template
+// that both its Serialize* and its Deserialize* run. Validation (on-curve
+// points, flag and presence bytes, counts, column kinds, version, tag,
+// trailing bytes) runs on decode only; encoding never fails.
 #ifndef SJOIN_DB_WIRE_H_
 #define SJOIN_DB_WIRE_H_
 

@@ -867,27 +867,35 @@ void Coordinator::TryReconnect(const std::shared_ptr<Worker>& w) {
     std::lock_guard<std::mutex> wl(w->mu);
     w->client = std::make_unique<TcpClient>(std::move(*client));
   }
-  // Re-send everything the worker missed while down. A full (table,
-  // shard) assignment supersedes any number of missed mutation slices,
-  // and the ownership re-check turns copies that moved away while the
-  // worker was down into drops.
-  std::set<std::pair<std::string, uint32_t>> dirty;
+  // Re-send every (table, shard) copy the owner table gives the worker --
+  // a restarted worker process holds none of them, written or not -- and
+  // every dirty entry. Dirty copies go out even when empty (the worker may
+  // hold rows deleted while it was down), and dirty copies whose
+  // ownership moved away become drops. A full assignment supersedes any
+  // number of missed mutation slices, and ShardWorker keeps the prepared
+  // entries of re-sent ids, so a worker whose process survived stays warm.
+  std::set<std::pair<std::string, uint32_t>> dirty, owned;
   {
     std::lock_guard<std::mutex> lock(mu_);
     dirty.swap(w->dirty);
-  }
-  for (const auto& [table, shard] : dirty) {
-    bool owned;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      owned = Holds(owners_[shard], w->id);
+    for (const auto& [table, rows] : row_shard_) {
+      for (uint32_t s = 0; s < num_shards_; ++s) {
+        if (Holds(owners_[s], w->id)) owned.emplace(table, s);
+      }
     }
-    Status st = owned ? SendShard(*w, table, shard, /*skip_empty=*/false,
-                                  /*force=*/true)
-                      : DropShard(*w, table, shard);
+  }
+  std::set<std::pair<std::string, uint32_t>> heal = owned;
+  heal.insert(dirty.begin(), dirty.end());
+  for (const auto& [table, shard] : heal) {
+    const bool was_dirty = dirty.count({table, shard}) > 0;
+    Status st = owned.count({table, shard}) > 0
+                    ? SendShard(*w, table, shard, /*skip_empty=*/!was_dirty,
+                                /*force=*/true)
+                    : DropShard(*w, table, shard);
     if (!st.ok()) {
       // The fresh connection failed too (SendShard re-queued this entry;
-      // re-queue the rest) -- back off and try again later.
+      // re-queue the rest of the dirty set; the owned copies are re-read
+      // from the owner table on the next attempt) -- back off and retry.
       {
         std::lock_guard<std::mutex> lock(mu_);
         for (const auto& remaining : dirty) w->dirty.insert(remaining);

@@ -35,9 +35,9 @@
 // stalls past the client io timeout still surfaces as DeadlineExceeded
 // (slow is a sizing problem, not a crash; see docs/TUNING.md). A
 // background reconnect loop re-dials unhealthy workers with capped,
-// jittered exponential backoff and re-uploads whatever they missed while
-// down (mutation slices, tables stored, membership moves) before
-// returning them to the rotation. With no reachable workers at all, the
+// jittered exponential backoff and re-uploads every shard copy the owner
+// table gives the worker -- a restarted process has lost them all -- plus
+// the drops it missed while down, before returning it to the rotation. With no reachable workers at all, the
 // same path decrypts every slice locally through the engine's prepared-row
 // cache -- a coordinator is always usable.
 #ifndef SJOIN_DIST_COORDINATOR_H_
@@ -202,7 +202,8 @@ class Coordinator {
   /// failure (MarkUnhealthy); while false, decrypts skip the worker,
   /// mutation slices and uploads queue on `dirty`, and the reconnect
   /// loop re-dials at `next_attempt`. A successful re-dial re-sends
-  /// every dirty (table, shard) before flipping `healthy` back.
+  /// every owned and every dirty (table, shard) before flipping
+  /// `healthy` back.
   struct Worker {
     std::string id;
     std::string host;
@@ -254,10 +255,11 @@ class Coordinator {
   Clock::duration JitteredLocked(int ms);
 
   void ReconnectLoop();
-  /// One re-dial + heal attempt: connect, re-send every dirty shard
-  /// copy (dropping copies whose ownership moved away while the worker
-  /// was down), then return the worker to rotation. On failure, backs
-  /// off and leaves the remaining dirty set queued.
+  /// One re-dial + heal attempt: connect, re-send every shard copy the
+  /// owner table gives the worker and every dirty one (dropping dirty
+  /// copies whose ownership moved away while the worker was down), then
+  /// return the worker to rotation. On failure, backs off and leaves the
+  /// dirty set queued.
   void TryReconnect(const std::shared_ptr<Worker>& w);
 
   const size_t num_shards_;

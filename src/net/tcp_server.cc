@@ -30,6 +30,15 @@ Bytes ErrorFrame(const Status& status) {
   return EncodeFrame(FrameType::kError, EncodeErrorPayload(status));
 }
 
+/// The response of a finished engine request: its serialized result, or
+/// the status it failed with.
+template <typename T>
+Result<Frame> ResponseFrame(FrameType type, const Result<T>& r,
+                            Bytes (*serialize)(const T&)) {
+  if (!r.ok()) return r.status();
+  return Frame{type, serialize(*r)};
+}
+
 }  // namespace
 
 TcpServer::TcpServer(EncryptedServer* engine, TcpServerOptions opts)
@@ -364,134 +373,98 @@ void TcpServer::HandleFrame(const std::shared_ptr<Conn>& conn, Frame frame) {
     std::lock_guard<std::mutex> cl(conn->mu);
     ++conn->frames_in;
   }
-  // Distributed-execution requests go to the installed shard handler;
-  // without one they drop through to the "not a request" error below.
-  const bool is_shard_request = frame.type == FrameType::kShardAssign ||
-                                frame.type == FrameType::kShardDecrypt ||
-                                frame.type == FrameType::kShardMutation ||
-                                frame.type == FrameType::kWorkerHealth;
-  if (is_shard_request && opts_.shard_handler != nullptr) {
-    DispatchShardRequest(conn, frame.type, std::move(frame.payload));
-    return;
-  }
+  // Every frame takes the next response slot, so its answer -- a pong or
+  // an error included -- leaves in request order.
+  const uint64_t seq = BeginRequest(conn);
+  const uint64_t conn_id = conn->id;
   switch (frame.type) {
     case FrameType::kPing:
-      QueueFrame(conn, FrameType::kPong, frame.payload);
+      CompleteRequest(conn_id, seq,
+                      Frame{FrameType::kPong, std::move(frame.payload)});
       return;
     case FrameType::kQuerySeries:
     case FrameType::kMutation:
-      DispatchRequest(conn, frame.type, std::move(frame.payload));
+      DispatchRequest(conn, seq, frame.type, std::move(frame.payload));
       return;
-    default: {
+    case FrameType::kShardAssign:
+    case FrameType::kShardDecrypt:
+    case FrameType::kShardMutation:
+    case FrameType::kWorkerHealth:
+      // Distributed-execution requests go to the installed shard handler;
+      // without one they drop through to the "not a request" error. The
+      // handler responds from any thread (ShardWorker completes on the
+      // shared pool).
+      if (opts_.shard_handler != nullptr) {
+        opts_.shard_handler->Handle(
+            frame.type, std::move(frame.payload),
+            [this, conn_id, seq](Result<Frame> r) {
+              CompleteRequest(conn_id, seq, std::move(r));
+            });
+        return;
+      }
+      [[fallthrough]];
+    default:
       // Well-framed but not a request the server answers (a client echoing
       // response types back, say). The frame boundary is intact, so the
       // connection survives; the peer gets an in-order error.
-      uint64_t seq;
-      {
-        std::lock_guard<std::mutex> cl(conn->mu);
-        seq = conn->next_seq++;
-        ++conn->in_flight;
-      }
-      {
-        std::lock_guard<std::mutex> lock(outstanding_mu_);
-        ++outstanding_;
-      }
-      CompleteRequest(conn->id, seq,
-                      ErrorFrame(Status::InvalidArgument(
+      CompleteRequest(conn_id, seq,
+                      Status::InvalidArgument(
                           "frame type " +
                           std::to_string(static_cast<int>(frame.type)) +
-                          " is not a request")),
-                      /*is_error=*/true);
+                          " is not a request"));
       return;
-    }
   }
 }
 
-void TcpServer::DispatchRequest(const std::shared_ptr<Conn>& conn,
-                                FrameType type, Bytes payload) {
+uint64_t TcpServer::BeginRequest(const std::shared_ptr<Conn>& conn) {
   uint64_t seq;
   {
     std::lock_guard<std::mutex> cl(conn->mu);
     seq = conn->next_seq++;
     ++conn->in_flight;
   }
-  {
-    std::lock_guard<std::mutex> lock(outstanding_mu_);
-    ++outstanding_;
-  }
+  std::lock_guard<std::mutex> lock(outstanding_mu_);
+  ++outstanding_;
+  return seq;
+}
+
+void TcpServer::DispatchRequest(const std::shared_ptr<Conn>& conn,
+                                uint64_t seq, FrameType type, Bytes payload) {
   const uint64_t conn_id = conn->id;
-
-  auto fail = [this, conn_id, seq](const Status& st) {
-    CompleteRequest(conn_id, seq, ErrorFrame(st), /*is_error=*/true);
-  };
-
   if (type == FrameType::kMutation) {
     auto mutation = DeserializeTableMutation(payload);
-    if (!mutation.ok()) return fail(mutation.status());
+    if (!mutation.ok()) {
+      return CompleteRequest(conn_id, seq, mutation.status());
+    }
     // Requests execute -- and are admission-controlled -- under the
     // session this connection opened at accept time; the wire carries none.
     mutation->session_id = conn->session;
     engine_->SubmitMutationAsync(
         std::move(*mutation), [this, conn_id, seq](Result<MutationResult> r) {
-          if (!r.ok()) {
-            CompleteRequest(conn_id, seq, ErrorFrame(r.status()), true);
-          } else {
-            CompleteRequest(conn_id, seq,
-                            EncodeFrame(FrameType::kMutationResult,
-                                        SerializeMutationResult(*r)),
-                            false);
-          }
+          CompleteRequest(conn_id, seq,
+                          ResponseFrame(FrameType::kMutationResult, r,
+                                        SerializeMutationResult));
         });
     return;
   }
 
   auto series = DeserializeQuerySeries(payload);
-  if (!series.ok()) return fail(series.status());
+  if (!series.ok()) return CompleteRequest(conn_id, seq, series.status());
   series->session_id = conn->session;
   engine_->SubmitJoinSeriesAsync(
       std::move(*series), opts_.exec,
       [this, conn_id, seq](Result<EncryptedSeriesResult> r) {
-        if (!r.ok()) {
-          CompleteRequest(conn_id, seq, ErrorFrame(r.status()), true);
-        } else {
-          CompleteRequest(conn_id, seq,
-                          EncodeFrame(FrameType::kSeriesResult,
-                                      SerializeSeriesResult(*r)),
-                          false);
-        }
+        CompleteRequest(conn_id, seq,
+                        ResponseFrame(FrameType::kSeriesResult, r,
+                                      SerializeSeriesResult));
       });
 }
 
-void TcpServer::DispatchShardRequest(const std::shared_ptr<Conn>& conn,
-                                     FrameType type, Bytes payload) {
-  uint64_t seq;
-  {
-    std::lock_guard<std::mutex> cl(conn->mu);
-    seq = conn->next_seq++;
-    ++conn->in_flight;
-  }
-  {
-    std::lock_guard<std::mutex> lock(outstanding_mu_);
-    ++outstanding_;
-  }
-  const uint64_t conn_id = conn->id;
-  // The handler responds from any thread (ShardWorker completes on the
-  // shared pool); CompleteRequest is thread-safe and the reorder buffer
-  // keeps responses in request order regardless.
-  opts_.shard_handler->Handle(
-      type, std::move(payload), [this, conn_id, seq](Result<Frame> r) {
-        if (!r.ok()) {
-          CompleteRequest(conn_id, seq, ErrorFrame(r.status()),
-                          /*is_error=*/true);
-        } else {
-          CompleteRequest(conn_id, seq, EncodeFrame(r->type, r->payload),
-                          /*is_error=*/false);
-        }
-      });
-}
-
-void TcpServer::CompleteRequest(uint64_t conn_id, uint64_t seq, Bytes framed,
-                                bool is_error) {
+void TcpServer::CompleteRequest(uint64_t conn_id, uint64_t seq,
+                                Result<Frame> response) {
+  const bool is_error = !response.ok();
+  Bytes framed = is_error ? ErrorFrame(response.status())
+                          : EncodeFrame(response->type, response->payload);
   std::shared_ptr<Conn> conn;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);

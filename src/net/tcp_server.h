@@ -206,21 +206,23 @@ class TcpServer {
   bool HandleReadable(const std::shared_ptr<Conn>& conn);
   /// Flushes the outbound queue until EAGAIN; false on a dead socket.
   bool HandleWritable(const std::shared_ptr<Conn>& conn);
+  /// Answers one decoded frame through the request-order pipeline: a
+  /// ping, a series or mutation, a shard request, or a "not a request"
+  /// error all take the next response slot.
   void HandleFrame(const std::shared_ptr<Conn>& conn, Frame frame);
-  /// Submits a decoded request into the engine; the completion callback
-  /// re-enters via CompleteRequest on a pool thread.
-  void DispatchRequest(const std::shared_ptr<Conn>& conn, FrameType type,
-                       Bytes payload);
-  /// Routes a distributed-execution request to opts_.shard_handler; its
-  /// respond callback re-enters via CompleteRequest from any thread.
-  void DispatchShardRequest(const std::shared_ptr<Conn>& conn, FrameType type,
-                            Bytes payload);
-  /// Thread-safe response delivery: slots the framed response into the
-  /// connection's request-order pipeline and wakes the loop. Dropped
-  /// silently if the connection is gone.
-  void CompleteRequest(uint64_t conn_id, uint64_t seq, Bytes framed,
-                       bool is_error);
-  /// Queues a frame outside the request pipeline (hello, pong).
+  /// Assigns the connection's next response slot and counts the request
+  /// as in flight until CompleteRequest fills that slot.
+  uint64_t BeginRequest(const std::shared_ptr<Conn>& conn);
+  /// Submits a decoded series or mutation into the engine; the completion
+  /// callback re-enters via CompleteRequest on a pool thread.
+  void DispatchRequest(const std::shared_ptr<Conn>& conn, uint64_t seq,
+                       FrameType type, Bytes payload);
+  /// Thread-safe response delivery: frames the response (or an error
+  /// frame), slots it into the connection's request-order pipeline and
+  /// wakes the loop. Dropped silently if the connection is gone.
+  void CompleteRequest(uint64_t conn_id, uint64_t seq,
+                       Result<Frame> response);
+  /// Queues the hello frame, which precedes every response.
   void QueueFrame(const std::shared_ptr<Conn>& conn, FrameType type,
                   const Bytes& payload);
   /// Moves in-order ready responses into the outbound queue. Caller holds

@@ -1047,6 +1047,54 @@ TEST(DistRecovery, ReconnectHealsMissedWritesAndKeepsCachesWarm) {
       << "surviving rows lost their prepared entries across the heal";
 }
 
+TEST(DistRecovery, RestartedWorkerProcessGetsEveryOwnedShardBack) {
+  // A worker PROCESS that restarts has lost every holding, not only what
+  // changed while it was down. With no write in between nothing is dirty,
+  // yet the heal must re-send each copy the owner table gives the worker:
+  // otherwise the fresh process answers all-zero presence bitmaps and the
+  // coordinator quietly decrypts those rows itself, with no counter to
+  // show for it.
+  DistEnv env(/*num_shards=*/8, {}, /*replication=*/1,
+              /*backoff_initial_ms=*/20, /*backoff_max_ms=*/250);
+  std::string w1 = env.AddWorker();
+  uint16_t port = env.workers[0].server->port();
+  const EncryptedTable* x = env.Upload("X", 9, 3);
+  QuerySeriesTokens series = env.Series({KeySpec("X", "X")}, {x});
+  ExpectMatchesSingleNode(env, series);
+
+  env.workers[0].Kill();
+  ExpectMatchesSingleNode(env, series);  // discovers the death, falls back
+  ASSERT_EQ(*env.coord->WorkerIsHealthy(w1), false);
+
+  // A fresh process -- empty holdings, cold caches -- on the old port.
+  WorkerProc& fresh = env.workers.emplace_back();
+  fresh.Start(port);
+  bool healthy = false;
+  for (int i = 0; i < 500 && !healthy; ++i) {
+    auto h = env.coord->WorkerIsHealthy(w1);
+    ASSERT_TRUE(h.ok());
+    healthy = *h;
+    if (!healthy) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(healthy) << "reconnect loop never healed the worker";
+  EXPECT_EQ(fresh.handler.Health().rows_held, 9u);
+
+  // Every digest of the next series is computed by the worker.
+  const uint64_t digests_before = fresh.handler.Health().digests_computed;
+  Coordinator::Stats before = env.coord->stats();
+  auto dist = env.coord->ExecuteSeries(series);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  auto local = env.single.ExecuteJoinSeries(series);
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
+  EXPECT_GT(dist->stats.decrypts_performed, 0u);
+  EXPECT_EQ(fresh.handler.Health().digests_computed - digests_before,
+            dist->stats.decrypts_performed)
+      << "the coordinator decrypted rows the healed worker should hold";
+  EXPECT_EQ(env.coord->stats().local_fallback_units,
+            before.local_fallback_units);
+}
+
 // --- Membership ----------------------------------------------------------------
 
 TEST(DistMembership, AddWorkerUploadsOnlyTheMovedShards) {

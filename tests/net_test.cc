@@ -475,8 +475,9 @@ TEST(TcpTransport, PipelinedRequestsComeBackInRequestOrder) {
   ASSERT_TRUE(c.ok());
 
   // Distinguishable requests: i-th series carries i+1 queries; the
-  // middle one is a mutation against a missing table (an error). All
-  // five responses must come back in request order.
+  // middle one is a mutation against a missing table (an error), and a
+  // ping follows the first series. All six responses must come back in
+  // request order -- the pong in its slot, not ahead of the series.
   std::vector<QuerySeriesTokens> series;
   for (size_t i = 0; i < 4; ++i) {
     std::vector<JoinQuerySpec> specs(i + 1, KeySpec("X", "Y"));
@@ -487,8 +488,10 @@ TEST(TcpTransport, PipelinedRequestsComeBackInRequestOrder) {
   auto bad = env.client.PrepareDelete("NOPE", {0});
   ASSERT_TRUE(bad.ok());
 
+  const Bytes probe = {7, 7, 7};
   ASSERT_TRUE(c->SendFrame(FrameType::kQuerySeries,
                            SerializeQuerySeries(series[0])).ok());
+  ASSERT_TRUE(c->SendFrame(FrameType::kPing, probe).ok());
   ASSERT_TRUE(c->SendFrame(FrameType::kQuerySeries,
                            SerializeQuerySeries(series[1])).ok());
   ASSERT_TRUE(c->SendFrame(FrameType::kMutation,
@@ -498,11 +501,18 @@ TEST(TcpTransport, PipelinedRequestsComeBackInRequestOrder) {
   ASSERT_TRUE(c->SendFrame(FrameType::kQuerySeries,
                            SerializeQuerySeries(series[3])).ok());
 
-  size_t expect_queries[] = {1, 2, 0, 3, 4};  // 0 = the error response
-  for (size_t i = 0; i < 5; ++i) {
+  // 0 = the error response, kPongSlot = the pong.
+  constexpr size_t kPongSlot = ~size_t{0};
+  size_t expect_queries[] = {1, kPongSlot, 2, 0, 3, 4};
+  for (size_t i = 0; i < 6; ++i) {
     SCOPED_TRACE("response " + std::to_string(i));
     auto f = c->ReadFrame();
     ASSERT_TRUE(f.ok()) << f.status().message();
+    if (expect_queries[i] == kPongSlot) {
+      ASSERT_EQ(f->type, FrameType::kPong);
+      EXPECT_EQ(f->payload, probe);
+      continue;
+    }
     if (expect_queries[i] == 0) {
       ASSERT_EQ(f->type, FrameType::kError);
       EXPECT_EQ(DecodeErrorPayload(f->payload).code(), StatusCode::kNotFound);
