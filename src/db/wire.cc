@@ -290,16 +290,18 @@ class Decoder : public ListOps<Decoder> {
 
  private:
   /// Applies f to each field in order; stops at the first error.
-  template <typename F, typename... T>
-  static Status Each(F f, T&... v) {
-    Status st;
-    (void)(... && (st = f(v)).ok());
+  template <typename F, typename T, typename... Rest>
+  static Status Each(F f, T& first, Rest&... rest) {
+    Status st = f(first);
+    if constexpr (sizeof...(Rest) > 0) {
+      if (st.ok()) return Each(f, rest...);
+    }
     return st;
   }
   template <typename R, typename T>
   static Status Take(Result<R> r, T& out) {
     SJOIN_RETURN_IF_ERROR(r.status());
-    out = static_cast<T>(std::move(*r));
+    out = std::move(*r);
     return Status::OK();
   }
 
