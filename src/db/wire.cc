@@ -176,10 +176,10 @@ Result<G2Affine> ReadG2Point(WireReader* r) {
 // `template <typename Io, typename M> Status XFields(Io& io, M& m)` run
 // with an Encoder (M const; every op appends and returns OK) or a Decoder
 // (M mutable; every op reads and returns the first error). U8/U32/U64
-// name the wire width and cast to the field's type (a bool is one 0/1
-// byte, read as nonzero); Field() codes the types that fix their own
-// encoding; List and Aligned put one u32 count before their elements.
-// Checks only a decoded value can fail sit under `if constexpr
+// name the wire width and convert the field to and from it (a bool is
+// one 0/1 byte, read as nonzero); Field() codes the types that fix their
+// own encoding; List and Aligned put one u32 count before their elements.
+// Checks that only a decoded value can fail run under `if constexpr
 // (Io::kDecode)`.
 
 namespace {
