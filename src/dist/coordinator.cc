@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <utility>
 
 #include "crypto/sha256.h"
@@ -293,12 +294,6 @@ void Coordinator::MarkUnhealthy(Worker& w) {
   reconnect_cv_.notify_all();
 }
 
-void Coordinator::QueueDirty(Worker& w, const std::string& table,
-                             uint32_t shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (w.dirty.emplace(table, shard).second) ++stats_.shards_queued;
-}
-
 Coordinator::Clock::duration Coordinator::JitteredLocked(int ms) {
   std::uniform_int_distribution<int> half(ms - ms / 2, ms);
   return std::chrono::milliseconds(half(rng_));
@@ -345,129 +340,76 @@ Result<Bytes> Coordinator::WorkerRpc(Worker& w, FrameType request,
   return std::move(frame->payload);
 }
 
-Status Coordinator::SendShard(Worker& w, const std::string& table,
-                              uint32_t shard, bool skip_empty, bool force) {
-  if (!force && !w.healthy.load(std::memory_order_relaxed)) {
-    // Down worker: defer to the reconnect heal instead of burning a
-    // doomed RPC. Deferral is not failure -- replicas / local fallback
-    // cover the reads meanwhile.
-    QueueDirty(w, table, shard);
-    return Status::OK();
-  }
-  auto snap = engine_.table_store().Get(table);
-  SJOIN_RETURN_IF_ERROR(snap.status());
-  ShardAssignment a;
-  a.table = table;
-  a.generation = snap->generation;
-  a.shard = shard;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto& shards = row_shard_[table];
-    for (size_t p = 0; p < snap->table->rows.size(); ++p) {
-      StableRowId id = (*snap->row_ids)[p];
-      auto it = shards.find(id);
-      if (it != shards.end() && it->second == shard) {
-        a.row_ids.push_back(id);
-        a.rows.push_back(snap->table->rows[p]);
-      }
-    }
-  }
-  // An empty shard needs no upload on the fresh path: a worker holding
-  // nothing of it answers decrypt requests with an all-zero presence
-  // bitmap anyway. The heal path sends it regardless -- the worker may
-  // hold rows deleted while it was down.
-  if (a.rows.empty() && skip_empty) return Status::OK();
-  auto resp = WorkerRpc(w, FrameType::kShardAssign, SerializeShardAssignment(a),
-                        FrameType::kShardAck);
-  if (resp.ok()) {
-    auto ack = DeserializeShardAck(*resp);
-    if (ack.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (a.rows.empty()) {
-        ++stats_.shard_drops;
-      } else {
-        ++stats_.shard_uploads;
-        stats_.rows_uploaded += a.rows.size();
-      }
-      return Status::OK();
-    }
-    resp = ack.status();
-  }
-  // Transport failure (WorkerRpc already marked the worker unhealthy) or
-  // a worker-side refusal: either way the copy is missing -- queue it
-  // for the heal. A live worker that refuses assignments is as diverged
-  // as a dead one.
-  MarkUnhealthy(w);
-  QueueDirty(w, table, shard);
-  return resp.status();
+uint32_t Coordinator::ShardOf(const EncryptedRow& row) const {
+  return static_cast<uint32_t>(ShardedTable::ShardOfDigest(
+      ShardedTable::RowDigest(row), num_shards_));
 }
 
-Status Coordinator::UploadShard(Worker& w, const std::string& table,
-                                uint32_t shard) {
-  return SendShard(w, table, shard, /*skip_empty=*/true, /*force=*/false);
+Coordinator::Placed Coordinator::Place(const std::string& table) const {
+  auto snap = engine_.table_store().Get(table);
+  SJOIN_CHECK(snap.ok());  // stored tables are never removed
+  Placed placed{*snap, std::vector<std::vector<size_t>>(num_shards_)};
+  for (size_t p = 0; p < snap->table->rows.size(); ++p) {
+    placed.shards[ShardOf(snap->table->rows[p])].push_back(p);
+  }
+  return placed;
 }
 
-Status Coordinator::DropShard(Worker& w, const std::string& table,
-                              uint32_t shard) {
-  bool held = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = row_shard_.find(table);
-    if (it != row_shard_.end()) {
-      for (const auto& [id, s] : it->second) {
-        if (s == shard) {
-          held = true;
-          break;
-        }
-      }
+Status Coordinator::Assign(Worker& w, const TableStore::Snapshot& snap,
+                           uint32_t shard, const std::vector<size_t>& positions,
+                           bool heal) {
+  // A down worker is skipped without a doomed RPC: the heal re-sends
+  // every shard anyway, and replicas or local fallback cover the reads
+  // meanwhile.
+  Status st = Status::Unavailable("worker '" + w.id + "' is out of rotation");
+  if (heal || w.healthy.load(std::memory_order_relaxed)) {
+    ShardAssignment a;
+    a.table = snap.table->name;
+    a.generation = snap.generation;
+    a.shard = shard;
+    for (size_t p : positions) {
+      a.row_ids.push_back((*snap.row_ids)[p]);
+      a.rows.push_back(snap.table->rows[p]);
     }
+    auto resp = WorkerRpc(w, FrameType::kShardAssign,
+                          SerializeShardAssignment(a), FrameType::kShardAck);
+    st = resp.ok() ? DeserializeShardAck(*resp).status() : resp.status();
   }
-  if (!held) return Status::OK();  // the previous owner held nothing
-  if (!w.healthy.load(std::memory_order_relaxed)) {
-    // The heal path re-checks ownership per dirty entry and sends the
-    // drop over the fresh connection.
-    QueueDirty(w, table, shard);
-    return Status::OK();
-  }
-  ShardAssignment a;
-  a.table = table;
-  a.shard = shard;
-  auto snap = engine_.table_store().Get(table);
-  if (snap.ok()) a.generation = snap->generation;
-  auto resp = WorkerRpc(w, FrameType::kShardAssign, SerializeShardAssignment(a),
-                        FrameType::kShardAck);
-  if (!resp.ok()) {
-    QueueDirty(w, table, shard);
-    return resp.status();
-  }
+  // A live worker that refuses an assignment is as diverged as a dead
+  // one: out of rotation until the heal re-syncs it.
+  if (!st.ok()) MarkUnhealthy(w);
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.shard_drops;
-  return Status::OK();
+  if (!st.ok()) {
+    ++stats_.shards_queued;
+  } else if (positions.empty()) {
+    ++stats_.shard_drops;
+  } else {
+    ++stats_.shard_uploads;
+    stats_.rows_uploaded += positions.size();
+  }
+  return st;
 }
 
 Status Coordinator::StoreTable(EncryptedTable table) {
   std::lock_guard<std::mutex> data(data_mu_);
   const std::string name = table.name;
   SJOIN_RETURN_IF_ERROR(engine_.StoreTable(std::move(table)));
-  auto snap = engine_.table_store().Get(name);
-  SJOIN_RETURN_IF_ERROR(snap.status());
-  std::map<StableRowId, uint32_t> shards;
-  for (size_t p = 0; p < snap->table->rows.size(); ++p) {
-    shards[(*snap->row_ids)[p]] = static_cast<uint32_t>(
-        ShardedTable::ShardOfDigest(
-            ShardedTable::RowDigest(snap->table->rows[p]), num_shards_));
-  }
+  tables_.push_back(name);
+  const Placed placed = Place(name);
   std::vector<std::vector<std::shared_ptr<Worker>>> chains;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    row_shard_[name] = std::move(shards);
     for (uint32_t s = 0; s < num_shards_; ++s) chains.push_back(ChainLocked(s));
   }
-  // Every replica of every shard; a down or failing owner queues its
-  // copy for the heal instead of failing the store (the local engine is
-  // authoritative regardless).
+  // Every replica of every non-empty shard (a worker holding nothing of a
+  // shard answers its decrypts with an all-zero bitmap anyway); a down or
+  // failing owner leaves its copy to the heal instead of failing the store
+  // (the local engine is authoritative regardless).
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    for (const auto& owner : chains[s]) (void)UploadShard(*owner, name, s);
+    if (placed.shards[s].empty()) continue;
+    for (const auto& owner : chains[s]) {
+      (void)Assign(*owner, placed.snap, s, placed.shards[s]);
+    }
   }
   return Status::OK();
 }
@@ -500,7 +442,6 @@ Status Coordinator::AddWorker(const std::string& id, const std::string& host,
       PlaceNewcomer(&owners, ids, id, replication_);
   // (shard the newcomer joined, the owners it displaced there)
   std::vector<std::pair<uint32_t, std::vector<std::shared_ptr<Worker>>>> moves;
-  std::vector<std::string> tables;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (uint32_t s : joined) {
@@ -512,17 +453,18 @@ Status Coordinator::AddWorker(const std::string& id, const std::string& host,
     }
     workers_[id] = w;
     owners_ = std::move(owners);
-    for (const auto& [t, shards] : row_shard_) tables.push_back(t);
   }
-  // Rebalance: exactly the shard copies the owner table gave the new
-  // worker move to it; the owners it displaced drop them. An upload
-  // failure queues the copy for the heal -- the worker stays registered
-  // either way (never a half-rebalanced cluster: reads are covered by
-  // replicas or local fallback until the heal lands).
-  for (const auto& [s, displaced] : moves) {
-    for (const std::string& t : tables) {
-      (void)UploadShard(*w, t, s);
-      for (const auto& old : displaced) (void)DropShard(*old, t, s);
+  // Rebalance: exactly the non-empty shard copies the owner table gave
+  // the new worker move to it; the owners it displaced drop them. A failed
+  // upload is left to the heal -- the worker stays registered either way
+  // (never a half-rebalanced cluster: reads are covered by replicas or
+  // local fallback until the heal lands).
+  for (const std::string& t : tables_) {
+    const Placed placed = Place(t);
+    for (const auto& [s, displaced] : moves) {
+      if (placed.shards[s].empty()) continue;
+      (void)Assign(*w, placed.snap, s, placed.shards[s]);
+      for (const auto& old : displaced) (void)Assign(*old, placed.snap, s, {});
     }
   }
   return Status::OK();
@@ -548,7 +490,6 @@ Status Coordinator::RemoveWorker(const std::string& id) {
   ReplaceLeaver(&owners, ids, id);
   // (shard the removed worker held, the owners that took its copy)
   std::vector<std::pair<uint32_t, std::vector<std::shared_ptr<Worker>>>> moves;
-  std::vector<std::string> tables;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (uint32_t s = 0; s < num_shards_; ++s) {
@@ -561,7 +502,6 @@ Status Coordinator::RemoveWorker(const std::string& id) {
     }
     workers_.erase(id);
     owners_ = std::move(owners);
-    for (const auto& [t, shards] : row_shard_) tables.push_back(t);
   }
   {
     // An in-flight RPC on another thread finishes (or fails) first; then
@@ -570,11 +510,15 @@ Status Coordinator::RemoveWorker(const std::string& id) {
     std::lock_guard<std::mutex> wl(w->mu);
     if (w->client) w->client->Close();
   }
-  // Re-home exactly the shard copies the removed worker owned: the
-  // worker that took each copy receives an upload.
-  for (const auto& [s, heirs] : moves) {
-    for (const auto& heir : heirs) {
-      for (const std::string& t : tables) (void)UploadShard(*heir, t, s);
+  // Re-home exactly the non-empty shard copies the removed worker owned:
+  // the worker that took each copy receives an upload.
+  for (const std::string& t : tables_) {
+    const Placed placed = Place(t);
+    for (const auto& [s, heirs] : moves) {
+      if (placed.shards[s].empty()) continue;
+      for (const auto& heir : heirs) {
+        (void)Assign(*heir, placed.snap, s, placed.shards[s]);
+      }
     }
   }
   return Status::OK();
@@ -613,32 +557,40 @@ Result<bool> Coordinator::WorkerIsHealthy(const std::string& id) const {
 Result<MutationResult> Coordinator::ApplyMutation(
     const TableMutation& mutation) {
   std::lock_guard<std::mutex> serial(data_mu_);
+  // Under data_mu_ this is exactly the generation the batch applies to:
+  // the deleted rows' shards are read off it.
+  auto before = engine_.table_store().Get(mutation.table);
+  SJOIN_RETURN_IF_ERROR(before.status());
   auto result = engine_.ApplyMutation(mutation);
   SJOIN_RETURN_IF_ERROR(result.status());
 
-  // Placement of the inserted rows, aligned with result->inserted_ids.
+  // Placement of the deleted rows (by stable id; one pass over the
+  // snapshot, as the copy-on-write apply itself) and of the inserted rows
+  // (aligned with result->inserted_ids).
+  std::vector<std::pair<StableRowId, uint32_t>> deleted;
+  const std::set<StableRowId> deletes(mutation.deletes.begin(),
+                                      mutation.deletes.end());
+  for (size_t p = 0; p < before->row_ids->size(); ++p) {
+    const StableRowId id = (*before->row_ids)[p];
+    if (deletes.count(id)) {
+      deleted.emplace_back(id, ShardOf(before->table->rows[p]));
+    }
+  }
   std::vector<uint32_t> insert_shards(mutation.inserts.size());
   for (size_t i = 0; i < mutation.inserts.size(); ++i) {
-    insert_shards[i] = static_cast<uint32_t>(ShardedTable::ShardOfDigest(
-        ShardedTable::RowDigest(mutation.inserts[i]), num_shards_));
+    insert_shards[i] = ShardOf(mutation.inserts[i]);
   }
 
-  // Update the authoritative row -> shard map and slice the batch by
-  // owning worker: every replica of a shard receives exactly the deletes
-  // and inserts that land on it, nothing else.
+  // Slice the batch by owning worker: every replica of a shard receives
+  // exactly the deletes and inserts that land on it, nothing else.
   struct Slice {
     ShardMutation m;
-    std::set<uint32_t> shards;  // for dirty-marking on failure
+    std::set<uint32_t> shards;  // left to the heal if not delivered
   };
   std::map<std::shared_ptr<Worker>, Slice> slices;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto& shards = row_shard_[mutation.table];
-    for (StableRowId id : mutation.deletes) {
-      auto it = shards.find(id);
-      if (it == shards.end()) continue;
-      uint32_t s = it->second;
-      shards.erase(it);
+    for (const auto& [id, s] : deleted) {
       for (const auto& owner : ChainLocked(s)) {
         Slice& slice = slices[owner];
         slice.m.deletes.push_back(id);
@@ -646,11 +598,9 @@ Result<MutationResult> Coordinator::ApplyMutation(
       }
     }
     for (size_t i = 0; i < mutation.inserts.size(); ++i) {
-      StableRowId id = result->inserted_ids[i];
-      shards[id] = insert_shards[i];
       for (const auto& owner : ChainLocked(insert_shards[i])) {
         Slice& slice = slices[owner];
-        slice.m.insert_ids.push_back(id);
+        slice.m.insert_ids.push_back(result->inserted_ids[i]);
         slice.m.insert_shards.push_back(insert_shards[i]);
         slice.m.inserts.push_back(mutation.inserts[i]);
         slice.shards.insert(insert_shards[i]);
@@ -658,31 +608,30 @@ Result<MutationResult> Coordinator::ApplyMutation(
     }
   }
   // The local engine is authoritative; worker slices are durability for
-  // the read path only. A slice that cannot be delivered (worker down)
-  // or fails mid-RPC queues its shards for the reconnect heal -- until
-  // healed, the worker answers have[i] = 0 for rows it missed and the
-  // coordinator falls back to local decrypts for exactly those rows.
+  // the read path only. A slice to a worker out of rotation is skipped,
+  // and one that fails -- at the transport or by the worker's refusal --
+  // takes the worker out: either way the heal re-sends its shards whole.
+  // Until healed, the worker answers have[i] = 0 for rows it missed and
+  // the coordinator falls back to local decrypts for exactly those rows.
   for (auto& [w, slice] : slices) {
     slice.m.table = mutation.table;
     slice.m.new_generation = result->generation;
     if (!w->healthy.load(std::memory_order_relaxed)) {
-      for (uint32_t s : slice.shards) QueueDirty(*w, mutation.table, s);
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.mutation_slices_queued;
+      stats_.shards_queued += slice.shards.size();
       continue;
     }
     auto resp = WorkerRpc(*w, FrameType::kShardMutation,
                           SerializeShardMutation(slice.m),
                           FrameType::kShardAck);
+    if (!resp.ok()) MarkUnhealthy(*w);
+    std::lock_guard<std::mutex> lock(mu_);
     if (resp.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.mutation_rpcs;
     } else {
-      // WorkerRpc marked the worker unhealthy; the whole (table, shard)
-      // assignments are re-sent on heal, which supersedes the slice.
-      for (uint32_t s : slice.shards) QueueDirty(*w, mutation.table, s);
-      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.mutation_rpc_failures;
+      stats_.shards_queued += slice.shards.size();
     }
   }
   return result;
@@ -707,10 +656,7 @@ Result<EncryptedSeriesResult> Coordinator::ExecuteSeries(
   }
   return engine_.ExecuteJoinSeriesDelegated(
       series, opts_.exec, chains.size(),
-      [&](const EncryptedRow& row) {
-        return chain_of[ShardedTable::ShardOfDigest(
-            ShardedTable::RowDigest(row), num_shards_)];
-      },
+      [&](const EncryptedRow& row) { return chain_of[ShardOf(row)]; },
       [&](const ShardDecryptRequest& req) -> Result<ShardDecryptResponse> {
         const std::vector<std::shared_ptr<Worker>>& owners = chains[req.shard];
         const Bytes payload = SerializeShardDecryptRequest(req);
@@ -729,10 +675,10 @@ Result<EncryptedSeriesResult> Coordinator::ExecuteSeries(
           if (resp.ok()) {
             auto decoded = DeserializeShardDecryptResponse(*resp);
             if (decoded.ok()) {
-              if (i > 0) {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.failover_decrypts;
-              }
+              std::lock_guard<std::mutex> lock(mu_);
+              stats_.worker_missing_rows +=
+                  std::count(decoded->have.begin(), decoded->have.end(), 0);
+              if (i > 0) ++stats_.failover_decrypts;
               return decoded;
             }
             MarkUnhealthy(w);  // undecodable answer: as diverged as dead
@@ -770,17 +716,15 @@ Result<EncryptedSeriesResult> Coordinator::ExecuteSeries(
 
 Result<uint32_t> Coordinator::ShardOfRow(const std::string& table,
                                          StableRowId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto t = row_shard_.find(table);
-  if (t == row_shard_.end()) {
-    return Status::NotFound("table '" + table + "' not stored");
-  }
-  auto r = t->second.find(id);
-  if (r == t->second.end()) {
+  auto snap = engine_.table_store().Get(table);
+  SJOIN_RETURN_IF_ERROR(snap.status());
+  const std::vector<StableRowId>& ids = *snap->row_ids;
+  auto it = std::find(ids.begin(), ids.end(), id);
+  if (it == ids.end()) {
     return Status::NotFound("table '" + table + "' has no row " +
                             std::to_string(id));
   }
-  return r->second;
+  return ShardOf(snap->table->rows[it - ids.begin()]);
 }
 
 Result<std::string> Coordinator::OwnerOfShard(uint32_t shard) const {
@@ -853,8 +797,8 @@ void Coordinator::TryReconnect(const std::shared_ptr<Worker>& w) {
   }
   // The heal observes a frozen data plane: no mutation, store, or
   // rebalance can interleave with the re-uploads, so nothing the worker
-  // "missed while healing" can slip between the dirty sweep and the
-  // healthy flip -- later writes go over the healed connection.
+  // "missed while healing" can slip between the re-sync and the healthy
+  // flip -- later writes go over the healed connection.
   std::lock_guard<std::mutex> data(data_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -867,41 +811,32 @@ void Coordinator::TryReconnect(const std::shared_ptr<Worker>& w) {
     std::lock_guard<std::mutex> wl(w->mu);
     w->client = std::make_unique<TcpClient>(std::move(*client));
   }
-  // Re-send every (table, shard) copy the owner table gives the worker --
-  // a restarted worker process holds none of them, written or not -- and
-  // every dirty entry. Dirty copies go out even when empty (the worker may
-  // hold rows deleted while it was down), and dirty copies whose
-  // ownership moved away become drops. A full assignment supersedes any
-  // number of missed mutation slices, and ShardWorker keeps the prepared
-  // entries of re-sent ids, so a worker whose process survived stays warm.
-  std::set<std::pair<std::string, uint32_t>> dirty, owned;
+  // Re-sync every shard of every stored table. Each copy the owner table
+  // gives the worker goes out whole -- a restarted process holds none of
+  // them, and an empty one clears rows deleted while the worker was down
+  // -- and every other non-empty shard is dropped, since its copy may have
+  // moved away meanwhile. A full assignment supersedes any number of
+  // missed mutation slices, and ShardWorker keeps the prepared entries of
+  // re-sent ids, so a worker whose process survived stays warm.
+  std::vector<bool> owned(num_shards_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    dirty.swap(w->dirty);
-    for (const auto& [table, rows] : row_shard_) {
-      for (uint32_t s = 0; s < num_shards_; ++s) {
-        if (Holds(owners_[s], w->id)) owned.emplace(table, s);
-      }
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      owned[s] = Holds(owners_[s], w->id);
     }
   }
-  std::set<std::pair<std::string, uint32_t>> heal = owned;
-  heal.insert(dirty.begin(), dirty.end());
-  for (const auto& [table, shard] : heal) {
-    const bool was_dirty = dirty.count({table, shard}) > 0;
-    Status st = owned.count({table, shard}) > 0
-                    ? SendShard(*w, table, shard, /*skip_empty=*/!was_dirty,
-                                /*force=*/true)
-                    : DropShard(*w, table, shard);
-    if (!st.ok()) {
-      // The fresh connection failed too (SendShard re-queued this entry;
-      // re-queue the rest of the dirty set; the owned copies are re-read
-      // from the owner table on the next attempt) -- back off and retry.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto& remaining : dirty) w->dirty.insert(remaining);
+  const std::vector<size_t> drop;
+  for (const std::string& t : tables_) {
+    const Placed placed = Place(t);
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      if (!owned[s] && placed.shards[s].empty()) continue;
+      const Status st = Assign(*w, placed.snap, s,
+                               owned[s] ? placed.shards[s] : drop,
+                               /*heal=*/true);
+      if (!st.ok()) {
+        backoff();  // the fresh connection failed too: retry in full
+        return;
       }
-      backoff();
-      return;
     }
   }
   std::lock_guard<std::mutex> lock(mu_);

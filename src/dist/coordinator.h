@@ -4,12 +4,14 @@
 // TcpServers over the framed wire protocol, merging the returned
 // digests back by original row index. Digests depend only on
 // (ciphertext, token), so the merged per-query results are BYTE-IDENTICAL
-// to single-node ExecuteJoinSeriesSharded (tests/dist_test.cc pins this
-// for every worker count, replication factor, and failure scenario).
+// to single-node ExecuteJoinSeries (tests/dist_test.cc pins this for
+// every worker count, replication factor, and failure scenario).
 //
 // Placement: every stored row is hashed to one of K placement shards
 // (ShardedTable::RowDigest -> ShardOfDigest, K = CoordinatorOptions::
-// num_shards, fixed for the coordinator's lifetime). An owner table maps
+// num_shards, fixed for the coordinator's lifetime). The shard is a pure
+// function of the row's SJ.Enc ciphertext, so the coordinator recomputes
+// it wherever it needs it and stores no per-row map. An owner table maps
 // each shard to its failover chain: at most R = CoordinatorOptions::
 // replication worker ids, primary first. The table is kept balanced
 // under membership change -- per-worker copy counts within one of each
@@ -35,11 +37,13 @@
 // stalls past the client io timeout still surfaces as DeadlineExceeded
 // (slow is a sizing problem, not a crash; see docs/TUNING.md). A
 // background reconnect loop re-dials unhealthy workers with capped,
-// jittered exponential backoff and re-uploads every shard copy the owner
-// table gives the worker -- a restarted process has lost them all -- plus
-// the drops it missed while down, before returning it to the rotation. With no reachable workers at all, the
-// same path decrypts every slice locally through the engine's prepared-row
-// cache -- a coordinator is always usable.
+// jittered exponential backoff and re-syncs every shard before returning
+// the worker to the rotation: it re-sends each copy the owner table gives
+// the worker (a restarted process has lost them all) and drops every other
+// non-empty shard, so nothing has to remember what a down worker missed.
+// With no reachable workers at all, the same path decrypts every slice
+// locally through the engine's prepared-row cache -- a coordinator is
+// always usable.
 #ifndef SJOIN_DIST_COORDINATOR_H_
 #define SJOIN_DIST_COORDINATOR_H_
 
@@ -51,7 +55,6 @@
 #include <memory>
 #include <mutex>
 #include <random>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -102,19 +105,20 @@ class Coordinator {
 
   // --- Data plane ----------------------------------------------------------
 
-  /// Stores the table in the local engine, computes its row -> placement
-  /// shard map, and uploads each shard to every worker of its chain.
-  /// Unreachable owners do not fail the store: their copies are queued
-  /// for the reconnect heal (stats().shards_queued) and their reads are
-  /// covered by replicas or local fallback meanwhile.
+  /// Stores the table in the local engine and uploads each non-empty
+  /// placement shard to every worker of its chain. Unreachable owners do
+  /// not fail the store: their copies are left to the reconnect heal
+  /// (stats().shards_queued) and their reads are covered by replicas or
+  /// local fallback meanwhile.
   Status StoreTable(EncryptedTable table);
 
   /// Applies the mutation locally (authoritative), then routes the slice
   /// of deletes and inserts each replica owns to exactly those workers.
-  /// Worker slice failures do not fail the mutation: the failed slice's
-  /// shards are queued on the worker (re-uploaded whole by the reconnect
-  /// heal) and counted in stats().mutation_rpc_failures; until healed the
-  /// worker only costs fallback decrypts (ShardDecryptResponse::have).
+  /// Slice failures do not fail the mutation: a failed slice (a refusal
+  /// included) takes the worker out of rotation, a down worker's slice is
+  /// skipped, and both are left to the reconnect heal, which re-sends the
+  /// shards whole; until then the worker only costs fallback decrypts
+  /// (ShardDecryptResponse::have).
   Result<MutationResult> ApplyMutation(const TableMutation& mutation);
 
   /// Executes the series with the SJ.Dec pass delegated to the workers
@@ -136,7 +140,7 @@ class Coordinator {
   /// primaries of those shards are re-picked. AlreadyExists on a taken
   /// id; a failed connect does NOT register the worker. Upload failures
   /// after a successful connect do not fail the add -- the missed shards
-  /// are queued for the reconnect heal (the half-rebalanced-cluster
+  /// are left to the reconnect heal (the half-rebalanced-cluster
   /// regression in tests/dist_test.cc pins this).
   Status AddWorker(const std::string& id, const std::string& host,
                    uint16_t port);
@@ -155,7 +159,8 @@ class Coordinator {
 
   // --- Introspection (tests, monitoring) -----------------------------------
 
-  /// Placement shard of a stored row; NotFound for unknown table/id.
+  /// Placement shard of a stored row, recomputed from its ciphertext in
+  /// the engine's current snapshot; NotFound for unknown table/id.
   Result<uint32_t> ShardOfRow(const std::string& table, StableRowId id) const;
   /// Primary owner of a shard; OutOfRange for shard >= num_shards(),
   /// NotFound with no workers.
@@ -174,14 +179,19 @@ class Coordinator {
     uint64_t shard_uploads = 0;   // non-empty assignments sent
     uint64_t rows_uploaded = 0;   // rows across those assignments
     uint64_t shard_drops = 0;     // empty (drop) assignments sent
-    uint64_t shards_queued = 0;   // (table, shard) sends deferred to heal
+    // (table, shard) copies left to the heal: each skipped or failed
+    // assignment, and each shard of a skipped or failed mutation slice.
+    uint64_t shards_queued = 0;
     uint64_t decrypt_rpcs = 0;    // decrypt RPCs actually attempted
     uint64_t decrypt_rpc_failures = 0;
     uint64_t failover_decrypts = 0;    // units served by a non-primary replica
     uint64_t local_fallback_units = 0; // units with no healthy replica
     uint64_t local_fallback_rows = 0;  // rows across those units
+    // Zero presence bits of every decoded worker answer: rows a worker
+    // that answered did not hold, decrypted locally from the snapshot.
+    uint64_t worker_missing_rows = 0;
     uint64_t mutation_rpcs = 0;           // successful slice RPCs
-    uint64_t mutation_rpc_failures = 0;   // failed slices (queued for heal)
+    uint64_t mutation_rpc_failures = 0;   // failed slices (left to heal)
     uint64_t mutation_slices_queued = 0;  // slices skipped: worker was down
     uint64_t workers_marked_unhealthy = 0;
     uint64_t reconnect_attempts = 0;
@@ -198,12 +208,13 @@ class Coordinator {
   /// connection an in-flight series is using -- the RPC completes or
   /// fails on the closed socket, never on freed memory.
   ///
-  /// Health lifecycle: `healthy` flips false on the first transport
-  /// failure (MarkUnhealthy); while false, decrypts skip the worker,
-  /// mutation slices and uploads queue on `dirty`, and the reconnect
-  /// loop re-dials at `next_attempt`. A successful re-dial re-sends
-  /// every owned and every dirty (table, shard) before flipping
-  /// `healthy` back.
+  /// Health lifecycle: `healthy` flips false on the first failed RPC
+  /// of the data plane -- a transport failure, or a worker that refuses
+  /// an assignment or a mutation slice (MarkUnhealthy); while false,
+  /// decrypts, mutation slices and assignments skip the worker (counted,
+  /// never remembered), and the reconnect loop re-dials at
+  /// `next_attempt`. A successful re-dial re-syncs every shard of every
+  /// stored table before flipping `healthy` back.
   struct Worker {
     std::string id;
     std::string host;
@@ -214,7 +225,13 @@ class Coordinator {
     // Guarded by the coordinator's mu_:
     int backoff_ms = 0;
     Clock::time_point next_attempt{};
-    std::set<std::pair<std::string, uint32_t>> dirty;  // (table, shard)
+  };
+
+  /// A table's snapshot with its rows' positions bucketed by placement
+  /// shard: every copy the coordinator sends is cut from one of these.
+  struct Placed {
+    TableStore::Snapshot snap;
+    std::vector<std::vector<size_t>> shards;  // positions, per shard
   };
 
   /// The workers of owners_[shard], primary first. Caller holds mu_.
@@ -230,36 +247,32 @@ class Coordinator {
   Result<Bytes> WorkerRpc(Worker& w, FrameType request, const Bytes& payload,
                           FrameType expected);
 
-  /// Builds the ShardAssignment of (table, shard) from the engine's
-  /// current snapshot and sends it to `w`. skip_empty: an empty
-  /// assignment is only worth sending when the worker may hold stale
-  /// rows of the shard (the heal path sets false). force: send even to
-  /// an unhealthy worker (only the heal path, which owns the fresh
-  /// connection). On any failure the shard is queued on w->dirty; the
-  /// returned status reflects the RPC so the heal loop can bail, and
-  /// data-plane callers deliberately ignore transport failures (the
-  /// reconnect loop owns recovery). Caller must not hold mu_ or w.mu.
-  Status SendShard(Worker& w, const std::string& table, uint32_t shard,
-                   bool skip_empty, bool force);
-  Status UploadShard(Worker& w, const std::string& table, uint32_t shard);
-  /// Tells `w` it no longer owns (table, shard); skipped when the
-  /// coordinator's map says the shard holds no rows.
-  Status DropShard(Worker& w, const std::string& table, uint32_t shard);
+  /// Placement shard of a row: a pure function of its SJ.Enc ciphertext.
+  uint32_t ShardOf(const EncryptedRow& row) const;
+  /// The engine's current snapshot of a stored table, placed in one pass.
+  Placed Place(const std::string& table) const;
+
+  /// The one send path: sends `w` the ShardAssignment of `shard` holding
+  /// snap's rows at `positions` -- the whole copy; none drop the shard.
+  /// Skips an unhealthy worker unless `heal`. A skipped or failed send
+  /// counts in stats().shards_queued, and any failure, a refusal
+  /// included, takes the worker out of rotation. Returns the RPC status
+  /// (the heal bails on it; the data plane leaves recovery to the heal).
+  /// Caller holds data_mu_, not mu_ or w.mu.
+  Status Assign(Worker& w, const TableStore::Snapshot& snap, uint32_t shard,
+                const std::vector<size_t>& positions, bool heal = false);
 
   /// Flips `w` out of rotation and schedules its first re-dial. Safe
   /// under w.mu (locks mu_; mu_ is never held while acquiring w.mu).
   void MarkUnhealthy(Worker& w);
-  /// Queues (table, shard) for the reconnect heal. Caller must not hold mu_.
-  void QueueDirty(Worker& w, const std::string& table, uint32_t shard);
   /// Jittered backoff delay in [ms/2, ms]. Caller holds mu_.
   Clock::duration JitteredLocked(int ms);
 
   void ReconnectLoop();
   /// One re-dial + heal attempt: connect, re-send every shard copy the
-  /// owner table gives the worker and every dirty one (dropping dirty
-  /// copies whose ownership moved away while the worker was down), then
-  /// return the worker to rotation. On failure, backs off and leaves the
-  /// dirty set queued.
+  /// owner table gives the worker, empty ones included, drop every other
+  /// non-empty shard, then return the worker to rotation. On failure,
+  /// backs off; the next attempt re-syncs in full.
   void TryReconnect(const std::shared_ptr<Worker>& w);
 
   const size_t num_shards_;
@@ -267,7 +280,7 @@ class Coordinator {
   const CoordinatorOptions opts_;
   EncryptedServer engine_;
 
-  mutable std::mutex mu_;  // workers_, owners_, row_shard_, stats_, rng_,
+  mutable std::mutex mu_;  // workers_, owners_, stats_, rng_,
                            // Worker reconnect bookkeeping. NEVER held
                            // while acquiring a Worker::mu (the reverse
                            // holds).
@@ -278,9 +291,6 @@ class Coordinator {
   /// they place on a copy outside mu_ and install it with workers_ under
   /// mu_ (see coordinator.cc).
   std::vector<std::vector<std::string>> owners_;
-  /// Stable id -> placement shard per table (authoritative copy of what
-  /// was uploaded; mutation routing and the test hooks read it).
-  std::map<std::string, std::map<StableRowId, uint32_t>> row_shard_;
   Stats stats_;
   std::mt19937_64 rng_;  // backoff jitter; guarded by mu_
 
@@ -291,6 +301,8 @@ class Coordinator {
   /// after it is delivered over the healed connection, never lost.
   /// Always acquired before mu_ / Worker::mu; decrypts never take it.
   std::mutex data_mu_;
+  /// Names of the tables stored through StoreTable; guarded by data_mu_.
+  std::vector<std::string> tables_;
 
   bool stopping_ = false;  // guarded by mu_
   std::condition_variable reconnect_cv_;

@@ -85,11 +85,6 @@ Result<ShardAck> ShardWorker::ApplyAssignment(const ShardAssignment& assign) {
     h.rows[assign.row_ids[i]] = assign.rows[i];
     h.shard_of[assign.row_ids[i]] = assign.shard;
   }
-  if (assign.rows.empty()) {
-    h.shard_counts.erase(assign.shard);
-  } else {
-    h.shard_counts[assign.shard] = assign.rows.size();
-  }
   h.generation = std::max(h.generation, assign.generation);
   return ShardAck{h.generation, h.rows.size()};
 }
@@ -111,10 +106,6 @@ Result<ShardAck> ShardWorker::ApplyShardMutation(const ShardMutation& m) {
     // coordinator routes by its own map, but an assignment racing the
     // mutation may already have moved the row.
     if (it == h.shard_of.end()) continue;
-    auto count = h.shard_counts.find(it->second);
-    if (count != h.shard_counts.end() && --count->second == 0) {
-      h.shard_counts.erase(count);
-    }
     h.shard_of.erase(it);
     h.rows.erase(id);
     cache_.EraseRow(m.table, id);
@@ -122,7 +113,6 @@ Result<ShardAck> ShardWorker::ApplyShardMutation(const ShardMutation& m) {
   for (size_t i = 0; i < m.inserts.size(); ++i) {
     h.rows[m.insert_ids[i]] = m.inserts[i];
     h.shard_of[m.insert_ids[i]] = m.insert_shards[i];
-    ++h.shard_counts[m.insert_shards[i]];
   }
   h.generation = std::max(h.generation, m.new_generation);
   return ShardAck{h.generation, h.rows.size()};
@@ -180,7 +170,9 @@ WorkerHealthInfo ShardWorker::Health() const {
   std::lock_guard<std::mutex> lock(mu_);
   info.tables = tables_.size();
   for (const auto& [name, h] : tables_) {
-    info.shards_held += h.shard_counts.size();
+    std::set<uint32_t> shards;
+    for (const auto& [id, shard] : h.shard_of) shards.insert(shard);
+    info.shards_held += shards.size();
     info.rows_held += h.rows.size();
   }
   info.decrypt_requests = decrypt_requests_.load(std::memory_order_relaxed);
@@ -193,8 +185,11 @@ uint64_t ShardWorker::RowsHeld(const std::string& table,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(table);
   if (it == tables_.end()) return 0;
-  auto count = it->second.shard_counts.find(shard);
-  return count == it->second.shard_counts.end() ? 0 : count->second;
+  uint64_t rows = 0;
+  for (const auto& [id, s] : it->second.shard_of) {
+    if (s == shard) ++rows;
+  }
+  return rows;
 }
 
 int ShardWorker::TableIdFor(const std::string& name) {

@@ -80,7 +80,6 @@ class ShardWorker : public ShardFrameHandler {
     uint64_t generation = 0;
     std::map<StableRowId, EncryptedRow> rows;
     std::map<StableRowId, uint32_t> shard_of;
-    std::map<uint32_t, uint64_t> shard_counts;
   };
 
   Result<Frame> Process(FrameType request, const Bytes& payload);

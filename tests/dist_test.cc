@@ -3,8 +3,8 @@
 //  - Byte-identity: a Coordinator fanning the SJ.Dec pass out to W
 //    in-process worker TcpServers produces per-query results
 //    byte-identical (SerializeJoinResult) to single-node
-//    ExecuteJoinSeriesSharded, for W in {1, 2, 3, 5}, cold and warm
-//    worker caches, and with zero workers (local fallback).
+//    ExecuteJoinSeries, for W in {1, 2, 3, 5}, cold and warm worker
+//    caches, and with zero workers (local fallback).
 //  - Replication: with CoordinatorOptions::replication = R every shard
 //    lands on every worker of its owner-table chain (inventories sum to
 //    min(R, W) x rows), membership changes move only the copies the
@@ -25,10 +25,11 @@
 //    seeded kill-timing sweep (SJOIN_DIST_FAILOVER_SEEDS) appends
 //    failures to dist_failing_seeds.txt for the CI artifact.
 //  - Recovery: failed mutation slices and membership-rebalance uploads
-//    are counted, queued on the unhealthy worker, and healed by the
-//    background reconnect loop (capped jittered backoff) -- after a
-//    re-dial the worker's inventory is exact and its surviving
-//    prepared rows are still warm.
+//    -- a worker's refusal included -- are counted, take the worker out
+//    of rotation, and are left to the background reconnect loop (capped
+//    jittered backoff), which re-syncs every shard -- after a re-dial the
+//    worker's inventory is exact and its surviving prepared rows are
+//    still warm.
 //  - Membership: adding/removing a worker re-uploads exactly the moved
 //    shards (asserted against the coordinator's upload/drop counters
 //    and the workers' per-shard holdings), and series stay
@@ -206,7 +207,7 @@ struct DistEnv {
 
 void ExpectMatchesSingleNode(DistEnv& env, const QuerySeriesTokens& series) {
   auto dist = env.coord->ExecuteSeries(series);
-  auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+  auto local = env.single.ExecuteJoinSeries(series);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   ASSERT_TRUE(local.ok()) << local.status().ToString();
   EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
@@ -234,8 +235,8 @@ Result<ShardAck> RogueDelete(WorkerProc& worker, const std::string& table,
   return DeserializeShardAck(ack->payload);
 }
 
-/// Rows per placement shard of one table, from the coordinator's
-/// authoritative row -> shard map (initial upload assigns ids 0..n-1).
+/// Rows per placement shard of one table, as the coordinator places them
+/// (Coordinator::ShardOfRow; the initial upload assigns ids 0..n-1).
 std::map<uint32_t, uint64_t> RowsPerShard(DistEnv& env,
                                           const std::string& table,
                                           size_t nrows) {
@@ -471,7 +472,7 @@ TEST(DistByteIdentity, WorkerMissingRowsFallBackToLocalDecrypts) {
 
   QuerySeriesTokens series = env.Series({KeySpec("X", "Y")}, {x, y});
   auto dist = env.coord->ExecuteSeries(series);
-  auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+  auto local = env.single.ExecuteJoinSeries(series);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   ASSERT_TRUE(local.ok());
   EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
@@ -483,6 +484,10 @@ TEST(DistByteIdentity, WorkerMissingRowsFallBackToLocalDecrypts) {
     total += s.decrypts_performed;
   }
   EXPECT_EQ(env.workers[0].handler.Health().digests_computed + 2, total);
+  // The coordinator counts the holes a healthy worker answered, apart
+  // from the units no replica answered at all.
+  EXPECT_EQ(env.coord->stats().worker_missing_rows, 2u);
+  EXPECT_EQ(env.coord->stats().local_fallback_rows, 0u);
 }
 
 // --- Worker-side chunking ------------------------------------------------------
@@ -535,7 +540,7 @@ TEST(DistChunking, MultiChunkSlicesMatchSingleNode) {
     ASSERT_EQ(ack->rows_held, 40u - holes.size());
 
     QuerySeriesTokens series = env.Series(specs, {x});
-    auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+    auto local = env.single.ExecuteJoinSeries(series);
     ASSERT_TRUE(local.ok()) << local.status().ToString();
     for (const std::string pass : {"cold", "warm"}) {
       SCOPED_TRACE(pass + " pass");
@@ -565,8 +570,8 @@ TEST(DistChunking, MultiChunkSlicesMatchSingleNode) {
 // --- Fault injection -----------------------------------------------------------
 
 /// A scripted worker endpoint: speaks just enough of the protocol to be
-/// registered (hello, shard-assignment acks), then injects one of the
-/// failure modes when the first decrypt request arrives.
+/// registered (hello, shard-assignment acks), then injects its failure
+/// mode when the first request of the kind the mode names arrives.
 class FakeWorker {
  public:
   enum class Mode {
@@ -575,6 +580,7 @@ class FakeWorker {
     kTornOnDecrypt,     // answer with half a valid frame, then close
     kStallOnDecrypt,    // never answer
     kDieOnAssign,       // close on the first shard upload (AddWorker races)
+    kRefuseMutation,    // answer every mutation slice with a kError frame
   };
 
   explicit FakeWorker(Mode mode) : mode_(mode) {
@@ -634,6 +640,11 @@ class FakeWorker {
         return Send(fd, EncodeFrame(FrameType::kShardAck,
                                     SerializeShardAck(ShardAck{})));
       case FrameType::kShardMutation:
+        if (mode_ == Mode::kRefuseMutation) {
+          return Send(fd, EncodeFrame(FrameType::kError,
+                                      EncodeErrorPayload(Status::Internal(
+                                          "mutation slice refused"))));
+        }
         return Send(fd, EncodeFrame(FrameType::kShardAck,
                                     SerializeShardAck(ShardAck{})));
       case FrameType::kWorkerHealth:
@@ -734,8 +745,8 @@ TEST(DistFaults, WorkerDyingMidSeriesFailsOverOthersUnaffected) {
 
   ASSERT_TRUE(survived.ok()) << survived.status().ToString();
   ASSERT_TRUE(alive.ok()) << alive.status().ToString();
-  auto local_x = env.single.ExecuteJoinSeriesSharded(hits_fake, {});
-  auto local_y = env.single.ExecuteJoinSeriesSharded(fine, {});
+  auto local_x = env.single.ExecuteJoinSeries(hits_fake);
+  auto local_y = env.single.ExecuteJoinSeries(fine);
   ASSERT_TRUE(local_x.ok() && local_y.ok());
   EXPECT_EQ(ResultBytes(*survived), ResultBytes(*local_x));
   EXPECT_EQ(ResultBytes(*alive), ResultBytes(*local_y));
@@ -848,7 +859,7 @@ TEST(DistFailover, MidSeriesKillCompletesSeriesByteIdentical) {
   env.workers[0].Kill();
   auto dist = future.get();
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+  auto local = env.single.ExecuteJoinSeries(series);
   ASSERT_TRUE(local.ok());
   EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
   EXPECT_EQ(env.coord->stats().local_fallback_rows, 0u)
@@ -875,7 +886,7 @@ void RunKillTimingSweep(uint64_t seed) {
   env.workers[victim].Kill();
   auto dist = future.get();
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+  auto local = env.single.ExecuteJoinSeries(series);
   ASSERT_TRUE(local.ok());
   EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
 }
@@ -912,7 +923,7 @@ TEST(DistFailover, KillTimingSweep) {
   }
 }
 
-// --- Recovery: counting, queueing, reconnect -----------------------------------
+// --- Recovery: counting, taking out of rotation, reconnect ---------------------
 
 TEST(DistRecovery, DeadClusterFallsBackWithoutPhantomRpcs) {
   DistEnv env(/*num_shards=*/8);
@@ -959,7 +970,7 @@ TEST(DistRecovery, FailedMutationSlicesAreCountedAndQueued) {
   EXPECT_EQ(*env.coord->WorkerIsHealthy(w1), false);
 
   // A second mutation against the now-known-dead worker skips the RPC
-  // and queues the slice directly.
+  // and counts the slice as left to the heal.
   auto del = env.client.PrepareDelete("X", {1});
   ASSERT_TRUE(del.ok());
   env.Mutate(*del);
@@ -975,7 +986,7 @@ TEST(DistRecovery, AddWorkerUploadFailureQueuesSheddedShards) {
 
   // The new worker dies on its first shard upload, mid-rebalance. The
   // add still succeeds -- the worker is registered, marked unhealthy,
-  // and its missed copies are queued for the reconnect heal instead of
+  // and its missed copies are left to the reconnect heal instead of
   // leaving a half-rebalanced cluster serving empty bitmaps.
   FakeWorker fake(FakeWorker::Mode::kDieOnAssign);
   ASSERT_TRUE(env.coord->AddWorker("zz-fake", "127.0.0.1", fake.port()).ok());
@@ -986,6 +997,28 @@ TEST(DistRecovery, AddWorkerUploadFailureQueuesSheddedShards) {
   // Shards the owner table gave the dead worker decrypt locally; the
   // series still completes byte-identically.
   ExpectMatchesSingleNode(env, env.Series({KeySpec("X", "X")}, {x}));
+}
+
+TEST(DistRecovery, RefusedMutationSliceTakesWorkerOutOfRotation) {
+  // A worker that answers a slice with an error is alive but diverged:
+  // it missed the batch as surely as a dead one. It must leave the
+  // rotation, so the reconnect heal re-syncs it and no series reads it
+  // meanwhile.
+  DistEnv env(/*num_shards=*/4);
+  FakeWorker fake(FakeWorker::Mode::kRefuseMutation);
+  ASSERT_TRUE(env.coord->AddWorker("wr", "127.0.0.1", fake.port()).ok());
+  const EncryptedTable* x = env.Upload("X", 6, 2);
+
+  auto del = env.client.PrepareDelete("X", {0, 1});
+  ASSERT_TRUE(del.ok());
+  env.Mutate(*del);
+  Coordinator::Stats stats = env.coord->stats();
+  EXPECT_EQ(stats.mutation_rpc_failures, 1u);
+  EXPECT_EQ(stats.mutation_rpcs, 0u);
+  EXPECT_EQ(*env.coord->WorkerIsHealthy("wr"), false);
+
+  ExpectMatchesSingleNode(env, env.Series({KeySpec("X", "X")}, {x}));
+  EXPECT_EQ(fake.decrypt_requests(), 0);
 }
 
 TEST(DistRecovery, ReconnectHealsMissedWritesAndKeepsCachesWarm) {
@@ -1003,8 +1036,8 @@ TEST(DistRecovery, ReconnectHealsMissedWritesAndKeepsCachesWarm) {
   ExpectMatchesSingleNode(env, series);  // discovers the death, falls back
   ASSERT_EQ(*env.coord->WorkerIsHealthy(w1), false);
 
-  // Writes land while the worker is down: a mutation (slice queued) and
-  // a whole new table (its shard uploads queued).
+  // Writes land while the worker is down: a mutation (slice skipped) and
+  // a whole new table (its shard uploads skipped).
   auto ins = env.client.PrepareInsert(*x, MakeKeyed("X", 3, 3));
   ASSERT_TRUE(ins.ok());
   TableMutation m = *ins;
@@ -1014,7 +1047,7 @@ TEST(DistRecovery, ReconnectHealsMissedWritesAndKeepsCachesWarm) {
   EXPECT_GE(env.coord->stats().shards_queued, 1u);
 
   // The worker restarts on its old port; the reconnect loop re-dials and
-  // re-sends everything it missed before returning it to rotation.
+  // re-syncs every shard before returning it to rotation.
   env.workers[0].Start(port);
   bool healthy = false;
   for (int i = 0; i < 500 && !healthy; ++i) {
@@ -1037,7 +1070,7 @@ TEST(DistRecovery, ReconnectHealsMissedWritesAndKeepsCachesWarm) {
   QuerySeriesTokens both = env.Series({KeySpec("X", "Y")}, {x, y});
   auto dist = env.coord->ExecuteSeries(both);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  auto local = env.single.ExecuteJoinSeriesSharded(both, {});
+  auto local = env.single.ExecuteJoinSeries(both);
   ASSERT_TRUE(local.ok());
   EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
   Coordinator::Stats after = env.coord->stats();
@@ -1049,11 +1082,11 @@ TEST(DistRecovery, ReconnectHealsMissedWritesAndKeepsCachesWarm) {
 
 TEST(DistRecovery, RestartedWorkerProcessGetsEveryOwnedShardBack) {
   // A worker PROCESS that restarts has lost every holding, not only what
-  // changed while it was down. With no write in between nothing is dirty,
-  // yet the heal must re-send each copy the owner table gives the worker:
-  // otherwise the fresh process answers all-zero presence bitmaps and the
-  // coordinator quietly decrypts those rows itself, with no counter to
-  // show for it.
+  // changed while it was down. With no write in between nothing was
+  // missed, yet the heal must re-send each copy the owner table gives the
+  // worker: otherwise the fresh process answers all-zero presence bitmaps
+  // and the coordinator decrypts those rows itself (the healthy worker's
+  // holes count in Stats::worker_missing_rows).
   DistEnv env(/*num_shards=*/8, {}, /*replication=*/1,
               /*backoff_initial_ms=*/20, /*backoff_max_ms=*/250);
   std::string w1 = env.AddWorker();
@@ -1093,6 +1126,8 @@ TEST(DistRecovery, RestartedWorkerProcessGetsEveryOwnedShardBack) {
       << "the coordinator decrypted rows the healed worker should hold";
   EXPECT_EQ(env.coord->stats().local_fallback_units,
             before.local_fallback_units);
+  EXPECT_EQ(env.coord->stats().worker_missing_rows,
+            before.worker_missing_rows);
 }
 
 // --- Membership ----------------------------------------------------------------
@@ -1391,7 +1426,7 @@ TEST(DistPlacement, OneDecryptRpcPerUnitAndOwningWorker) {
   const uint64_t before = env.coord->stats().decrypt_rpcs;
   auto dist = env.coord->ExecuteSeries(series);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  auto local = env.single.ExecuteJoinSeriesSharded(series, {});
+  auto local = env.single.ExecuteJoinSeries(series);
   ASSERT_TRUE(local.ok());
   EXPECT_EQ(ResultBytes(*dist), ResultBytes(*local));
   EXPECT_EQ(env.coord->stats().decrypt_rpcs - before, expected_rpcs);
