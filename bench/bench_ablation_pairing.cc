@@ -4,6 +4,7 @@
 // it must beat:
 //
 //   lazy-reduction tower        vs. Fp2/Fp12 MulReference (schoolbook)
+//   xi-multiply (one 9x + y reduction) vs. the two-MulSmall(9) form
 //   Granger-Scott cyclotomic    vs. generic Fp12 squaring
 //   GLV two-dimensional         vs. generic width-4 wNAF (ScalarMulWnaf)
 //   batched final exponentiation vs. per-element FinalExponentiation
@@ -72,6 +73,7 @@ struct Timings {
   double fp_mul = kUnmeasured, fp2_mul = kUnmeasured,
          fp2_mul_ref = kUnmeasured, fp12_mul = kUnmeasured,
          fp12_mul_ref = kUnmeasured;
+  double fp2_xi = kUnmeasured, fp2_xi_ref = kUnmeasured;
   double fp12_sqr = kUnmeasured, cyclo_sqr = kUnmeasured;
   // Scalar multiplication (us).
   double g1_glv = kUnmeasured, g1_wnaf = kUnmeasured,
@@ -136,6 +138,12 @@ Timings Measure() {
     mn(&t.fp2_mul, NanosPerOp(x2, [&](const Fp2& a) { return a * y2; }));
     mn(&t.fp2_mul_ref,
        NanosPerOp(x2, [&](const Fp2& a) { return a.MulReference(y2); }));
+    mn(&t.fp2_xi, NanosPerOp(x2, [&](const Fp2& a) { return a.MulByXi(); }));
+    // The xi-multiply as it was written before the 9x + y kernel: two
+    // MulSmall(9) doubling chains and a canonical add/sub per coefficient.
+    mn(&t.fp2_xi_ref, NanosPerOp(x2, [&](const Fp2& a) {
+         return Fp2(a.a().MulSmall(9) - a.b(), a.a() + a.b().MulSmall(9));
+       }));
     mn(&t.fp12_mul,
        NanosPerOp(f, [&](const Fp12& a) { return a * u; }, 4000));
     mn(&t.fp12_mul_ref,
@@ -213,8 +221,8 @@ struct Check {
 
 /// Conservative floors: each optimized path vs. its reference, measured
 /// interleaved in one process. Set well below typical measurements
-/// (lazy Fp12 ~1.2x, cyclotomic ~1.5x, GLV ~1.3x) so only a real
-/// regression -- not scheduler noise -- trips them. The batch floors are
+/// (lazy Fp12 ~1.2x, xi-multiply ~2x, cyclotomic ~1.5x, GLV ~1.3x) so
+/// only a real regression -- not scheduler noise -- trips them. The batch floors are
 /// no-regression guards, not speedup claims: the shared easy-part
 /// inversion is a few percent of a row (its value is bounded working
 /// sets + chunk parallelism at identical bytes), and this host's
@@ -222,6 +230,7 @@ struct Check {
 std::vector<Check> Checks(const Timings& t) {
   return {
       {"fp12_lazy_mul", t.fp12_mul_ref / t.fp12_mul, 1.02},
+      {"fp2_mul_by_xi", t.fp2_xi_ref / t.fp2_xi, 1.3},
       {"cyclotomic_sqr", t.fp12_sqr / t.cyclo_sqr, 1.10},
       {"g1_glv", t.g1_wnaf / t.g1_glv, 1.05},
       {"batch_final_exp", t.final_exp / t.final_exp_batch, 0.85},
@@ -239,10 +248,11 @@ int JsonSummary() {
       "  \"primitives_ns\": {\n"
       "    \"fp_mul\": %.1f,\n"
       "    \"fp2_mul\": %.1f,\n    \"fp2_mul_reference\": %.1f,\n"
+      "    \"fp2_mul_by_xi\": %.1f,\n    \"fp2_mul_by_xi_reference\": %.1f,\n"
       "    \"fp12_mul\": %.1f,\n    \"fp12_mul_reference\": %.1f,\n"
       "    \"fp12_sqr\": %.1f,\n    \"cyclotomic_sqr\": %.1f\n  },\n",
-      t.fp_mul, t.fp2_mul, t.fp2_mul_ref, t.fp12_mul, t.fp12_mul_ref,
-      t.fp12_sqr, t.cyclo_sqr);
+      t.fp_mul, t.fp2_mul, t.fp2_mul_ref, t.fp2_xi, t.fp2_xi_ref, t.fp12_mul,
+      t.fp12_mul_ref, t.fp12_sqr, t.cyclo_sqr);
   std::printf(
       "  \"scalar_mul_us\": {\n"
       "    \"g1_glv\": %.1f,\n    \"g1_wnaf\": %.1f,\n"
@@ -321,6 +331,7 @@ void Report() {
   };
   row("Fp mul", t.fp_mul, 0, "ns");
   row("Fp2 mul (lazy)", t.fp2_mul, t.fp2_mul_ref, "ns");
+  row("Fp2 mul by xi", t.fp2_xi, t.fp2_xi_ref, "ns");
   row("Fp12 mul (lazy)", t.fp12_mul, t.fp12_mul_ref, "ns");
   row("Fp12 cyclotomic sqr", t.cyclo_sqr, t.fp12_sqr, "ns");
   row("G1 scalar mul (GLV)", t.g1_glv, t.g1_wnaf, "us");

@@ -17,6 +17,9 @@
 #ifndef SJOIN_FIELD_FP2_H_
 #define SJOIN_FIELD_FP2_H_
 
+#include <algorithm>
+#include <array>
+
 #include "field/bn254.h"
 #include "field/mont_accel.h"
 
@@ -53,6 +56,46 @@ inline U256 Reduce(U512 v) {
     ReduceWideOnce(&v, kBn254FpParams.p);
   }
   return RedcWide(v, kBn254FpParams);
+}
+
+/// 2^k * p as a five-limb integer (p < 2^254, so 8p < 2^257 fits).
+constexpr std::array<uint64_t, 5> ShiftedP(int k) {
+  const U256& p = kBn254FpParams.p;
+  std::array<uint64_t, 5> r{};
+  for (int i = 0; i < 4; ++i) {
+    r[i] |= p.w[i] << k;
+    r[i + 1] = k == 0 ? 0 : p.w[i] >> (64 - k);
+  }
+  return r;
+}
+inline constexpr std::array<uint64_t, 5> kP5[4] = {ShiftedP(3), ShiftedP(2),
+                                                    ShiftedP(1), ShiftedP(0)};
+
+/// Canonical residue of 9x + y for x < p, y <= p. The five-limb sum is
+/// below 10p; conditional subtractions of 8p, 4p, 2p and p leave it below
+/// 8p, 4p, 2p and finally p. Montgomery form is linear, so this is also
+/// the Montgomery form of 9x + y.
+inline U256 NineXPlusY(const U256& x, const U256& y) {
+  uint64_t v[5];
+  uint128_t acc = 0;
+  for (int i = 0; i < 4; ++i) {
+    acc += static_cast<uint128_t>(x.w[i]) * 9 + y.w[i];
+    v[i] = static_cast<uint64_t>(acc);
+    acc >>= 64;
+  }
+  v[4] = static_cast<uint64_t>(acc);
+  for (const std::array<uint64_t, 5>& kp : kP5) {
+    uint64_t t[5];
+    uint64_t borrow = 0;
+    for (int i = 0; i < 5; ++i) {
+      uint128_t cur = static_cast<uint128_t>(v[i]) - kp[i] - borrow;
+      t[i] = static_cast<uint64_t>(cur);
+      borrow = static_cast<uint64_t>(cur >> 64) & 1;
+    }
+    const uint64_t keep = 0 - borrow;  // all ones when v < kp
+    for (int i = 0; i < 5; ++i) v[i] = (v[i] & keep) | (t[i] & ~keep);
+  }
+  return U256{{v[0], v[1], v[2], v[3]}};
 }
 
 }  // namespace fpw
@@ -204,11 +247,14 @@ class Fp2 {
   /// Conjugate a - b*u (the Frobenius map x -> x^p on Fp2).
   Fp2 Conjugate() const { return Fp2(a_, -b_); }
 
-  /// Multiplication by xi = 9 + u: (9a - b) + (a + 9b) u.
+  /// Multiplication by xi = 9 + u: (9a - b) + (a + 9b) u, each coefficient
+  /// one small-multiple reduction (9a - b is computed as 9a + (p - b)).
   Fp2 MulByXi() const {
-    Fp nine_a = a_.MulSmall(9);
-    Fp nine_b = b_.MulSmall(9);
-    return Fp2(nine_a - b_, a_ + nine_b);
+    U256 p_minus_b{};
+    U256SubWithBorrow(kBn254FpParams.p, b_.Montgomery(), &p_minus_b);
+    return Fp2(
+        Fp::FromMontgomery(fpw::NineXPlusY(a_.Montgomery(), p_minus_b)),
+        Fp::FromMontgomery(fpw::NineXPlusY(b_.Montgomery(), a_.Montgomery())));
   }
 
   /// (a + bu)^-1 = (a - bu) / (a^2 + b^2); inverse of zero is zero.

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "bigint/bigint.h"
 #include "field/bn254.h"
@@ -215,10 +216,39 @@ TEST(Fp2Test, FieldAxiomsRandomized) {
 }
 
 TEST(Fp2Test, MulByXiMatchesGenericMul) {
+  // Edge grid: MulByXi reduces 9x + (p - y) and 9y + x by conditional
+  // subtractions of 8p, 4p, 2p and p, so the interesting inputs put 9x
+  // next to a multiple of p. The kernel works on Montgomery limbs, so each
+  // value is used both as the element's integer and as its Montgomery form.
+  const BigInt p = BigInt::FromDecimal(kBn254PDecimal);
+  const BigInt nine(9);
+  const std::vector<BigInt> edges = {
+      BigInt(0),
+      BigInt(1),
+      BigInt(2),
+      p - BigInt(1),
+      p - BigInt(2),
+      p / nine,
+      p / nine + BigInt(1),  // ceil(p/9): 9 does not divide the prime p
+      (p * BigInt(8)) / nine,
+  };
+  std::vector<Fp> grid;
+  for (const BigInt& e : edges) {
+    grid.push_back(Fp::FromBigInt(e));
+    grid.push_back(Fp::FromMontgomery(grid.back().ToCanonical()));
+  }
+  for (const Fp& x : grid) {
+    for (const Fp& y : grid) {
+      Fp2 a(x, y);
+      EXPECT_EQ(a.MulByXi(), a * Fp2::Xi())
+          << x.ToDecimal() << " + " << y.ToDecimal() << " u";
+    }
+  }
+
   TestRandom rng(8);
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < 10000; ++i) {
     Fp2 a = rng.NextFp2();
-    EXPECT_EQ(a.MulByXi(), a * Fp2::Xi());
+    ASSERT_EQ(a.MulByXi(), a * Fp2::Xi()) << "trial " << i;
   }
 }
 
