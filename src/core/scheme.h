@@ -47,11 +47,14 @@ struct SjRowCiphertext {
 };
 
 /// Prepared form of one row's SJ ciphertext: per-slot Miller-loop line
-/// tables (G2Prepared). Building one costs a single SJ.Dec's worth of G2
-/// arithmetic; every later SJ.Dec against the row -- under ANY token --
-/// then skips all G2 line derivation. Much larger than the ciphertext
-/// (~ScheduleLength() line triples per slot), hence the server's
-/// memory-bounded cache rather than unconditional preparation.
+/// tables (G2Prepared), normalized with one batched Fp2 inversion per
+/// row. Building one costs a single SJ.Dec's worth of G2 arithmetic plus
+/// the normalization (~0.5x a cold SJ.Dec Miller loop at dimension 21);
+/// every later SJ.Dec against the row -- under ANY token -- then skips
+/// all G2 line derivation. Much larger than the ciphertext
+/// (ScheduleLength() = 88 lines of 128 bytes per slot, ~232 KB per row at
+/// dimension 21), hence the server's memory-bounded cache rather than
+/// unconditional preparation.
 struct SjPreparedRow {
   std::vector<G2Prepared> c;
 

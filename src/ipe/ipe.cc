@@ -114,10 +114,7 @@ Fp12 ModifiedIpe::DecryptMiller(std::span<const G1Affine> token,
 
 std::vector<G2Prepared> ModifiedIpe::PrepareCiphertext(
     std::span<const G2Affine> ct) {
-  std::vector<G2Prepared> out;
-  out.reserve(ct.size());
-  for (const G2Affine& c : ct) out.push_back(G2Prepared::Prepare(c));
-  return out;
+  return G2Prepared::PrepareBatch(ct);
 }
 
 GT ModifiedIpe::DecryptPrepared(std::span<const G1Affine> token,

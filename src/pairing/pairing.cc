@@ -1,6 +1,8 @@
 #include "pairing/pairing.h"
 
 #include <array>
+#include <span>
+#include <utility>
 
 #include "bigint/bigint.h"
 #include "pairing/frobenius.h"
@@ -29,13 +31,18 @@ namespace {
 //
 // Scaling the line by nonzero Fp2 constants is harmless: Fp2 lies inside
 // Fp6, whose elements are annihilated by the (p^6-1) easy part of the final
-// exponentiation.
+// exponentiation. So is dropping a line with a0 = 0 (a vertical chord or a
+// step at the identity, which an order-r Q never takes but an on-curve
+// twist point outside G2 can): it is w times an Fp6 element,
+// w^(p^6-1) = xi^((p^6-1)/6) = -1, and the easy part's (p^2+1) factor is
+// even.
 //
 // Both step functions factor the G1 point out of the line: they emit the
-// P-independent LineCoeffs triple of g2_prepared.h, and the loops multiply
-// in (xP, yP) at evaluation time. This keeps the plain and prepared Miller
-// loops on one set of formulas -- G2Prepared::Prepare records exactly the
-// triples the plain loop would derive inline.
+// P-independent triple (c0, c1, c2) of JacobianLine, and the cold loop
+// multiplies in (xP, yP) at evaluation time. G2Prepared::PrepareBatch runs
+// the same step functions and stores each line divided by its c0 (see
+// "Prepared lines" below), so the plain and prepared Miller loops share
+// one set of formulas and agree after the final exponentiation.
 //
 // The point update is fused with the line derivation: the tangent formulas
 // already need X^2, Y^2 and Y*Z, which are exactly the squarings dbl-2009-l
@@ -50,6 +57,14 @@ namespace {
 // is the identity (coordinates (1, 1, 0), matching Point<G2Curve>()).
 struct G2Jacobian {
   Fp2 X, Y, Z;
+};
+
+// One derived line with the G1 point factored out:
+//     l(P) = c0 * yP  +  (c1 * xP) w  +  c2 w^3.
+struct JacobianLine {
+  Fp2 c0;  // w^0 slot, scaled by yP at evaluation time
+  Fp2 c1;  // w^1 slot, scaled by xP at evaluation time
+  Fp2 c2;  // w^3 slot, independent of P
 };
 
 const G2Jacobian kG2JacobianInfinity = {Fp2::One(), Fp2::One(), Fp2::Zero()};
@@ -76,7 +91,7 @@ void JacobianDouble(G2Jacobian* t) {
 // Doubling step: consumes T (Jacobian on the twist), outputs 2T and the
 // tangent-line coefficients at T. X^2, Y^2, 3X^2 and Y*Z feed both the
 // line and the dbl-2009-l update.
-void DoublingStep(G2Jacobian* t, LineCoeffs* line) {
+void DoublingStep(G2Jacobian* t, JacobianLine* line) {
   const Fp2 X = t->X, Y = t->Y, Z = t->Z;
   Fp2 A = X.Square();            // X^2
   Fp2 B = Y.Square();            // Y^2
@@ -103,7 +118,7 @@ void DoublingStep(G2Jacobian* t, LineCoeffs* line) {
 // Addition step: consumes T and affine Q, outputs T+Q and the chord-line
 // coefficients through them. Z^2 and rr feed both the line and the
 // madd-2007-bl update.
-void AdditionStep(G2Jacobian* t, const G2Affine& q, LineCoeffs* line) {
+void AdditionStep(G2Jacobian* t, const G2Affine& q, JacobianLine* line) {
   const Fp2 X = t->X, Y = t->Y, Z = t->Z;
   Fp2 ZZ = Z.Square();
   Fp2 rr = (q.y * Z * ZZ - Y).Double();  // 2 (y2 Z^3 - Y)
@@ -147,8 +162,19 @@ struct EvalLine {
   Fp2 a0, b0, b1;
 };
 
-EvalLine Evaluate(const LineCoeffs& line, const Fp& xp, const Fp& yp) {
+EvalLine Evaluate(const JacobianLine& line, const Fp& xp, const Fp& yp) {
   return EvalLine{line.c0.MulByFp(yp), line.c1.MulByFp(xp), line.c2};
+}
+
+// A prepared line evaluated at the token point: 1 + b0*w + b1*w^3.
+struct UnitLine {
+  Fp2 b0, b1;
+};
+
+// u = xP/yP and v = 1/yP: a normalized line c1, c2 evaluates to
+// 1 + (c1 u) w + (c2 v) w^3, i.e. the Jacobian line divided by c0 * yP.
+UnitLine Evaluate(const LineCoeffs& line, const Fp& u, const Fp& v) {
+  return UnitLine{line.c1.MulByFp(u), line.c2.MulByFp(v)};
 }
 
 // Product of two evaluated lines: slots w^0..w^4 (w^3 * w^3 = w^6 = xi wraps
@@ -169,20 +195,46 @@ void MergeLines(const EvalLine& l, const EvalLine& m, Fp2 s[5]) {
       (l.b0 + l.b1).MulWideLazy(m.b0 + m.b1).Offset(fpw::kP2x4) - tbb - tcc);
 }
 
+// Product of two unit lines: 1 + xi*b1b1' in slot 0, b0b0' in slot 2 and
+// the cross term b0b1' + b1b0' in slot 4 -- three lazy Fp2 products.
+void MergeLines(const UnitLine& l, const UnitLine& m, Fp2 s[5]) {
+  Fp2Wide tbb = l.b0.MulWideLazy(m.b0);  // (2, 2) p^2
+  Fp2Wide tcc = l.b1.MulWideLazy(m.b1);
+  s[0] = Fp2::One() + Fp2::Redc(tcc).MulByXi();
+  s[1] = l.b0 + m.b0;
+  s[2] = Fp2::Redc(tbb);
+  s[3] = l.b1 + m.b1;
+  // Same bound as MergeLines above: < 6p^2.
+  s[4] = Fp2::Redc(
+      (l.b0 + l.b1).MulWideLazy(m.b0 + m.b1).Offset(fpw::kP2x4) - tbb - tcc);
+}
+
+Fp12 MulByOneLine(const Fp12& f, const EvalLine& l) {
+  return f.MulByLine(l.a0, l.b0, l.b1);
+}
+
+// f * (1 + (b0 + b1 v) w) = (c0 + c1 B v) + (c0 B + c1) w for B = b0 + b1 v:
+// two sparse Fp6 products, against three for a general line.
+Fp12 MulByOneLine(const Fp12& f, const UnitLine& l) {
+  Fp6 t0 = f.c0().MulBy01(l.b0, l.b1);
+  Fp6 t1 = f.c1().MulBy01(l.b0, l.b1);
+  return Fp12(f.c0() + t1.MulByV(), t0 + f.c1());
+}
+
 // Multiplies the round's collected lines into f, pairwise-merged: each merged
-// product costs ~11.5 Fp2 muls per line against 13 for MulByLine, and field
-// associativity makes any grouping produce the same canonical element, so
-// the accumulator stays byte-identical to the line-at-a-time schedule.
-Fp12 FoldLines(Fp12 f, const std::vector<EvalLine>& lines) {
+// product costs ~11.5 Fp2 muls per line against 13 for MulByLine (~10 for
+// unit lines), and field associativity makes any grouping produce the same
+// canonical element, so the accumulator stays byte-identical to the
+// line-at-a-time schedule.
+template <typename Line>
+Fp12 FoldLines(Fp12 f, const std::vector<Line>& lines) {
   size_t i = 0;
   Fp2 s[5];
   for (; i + 1 < lines.size(); i += 2) {
     MergeLines(lines[i], lines[i + 1], s);
     f = f.MulBySparse5(s[0], s[1], s[2], s[3], s[4]);
   }
-  if (i < lines.size()) {
-    f = f.MulByLine(lines[i].a0, lines[i].b0, lines[i].b1);
-  }
+  if (i < lines.size()) f = MulByOneLine(f, lines[i]);
   return f;
 }
 
@@ -229,7 +281,7 @@ struct PairState {
 Fp12 MultiMillerLoopImpl(std::vector<PairState>* states) {
   const std::vector<int8_t>& naf = AteLoopNaf();
   Fp12 f = Fp12::One();
-  LineCoeffs line;
+  JacobianLine line;
   std::vector<EvalLine> round;
   round.reserve(states->size() * 2);
   // Skip the leading digit (always 1): f starts at 1 and T at Q.
@@ -278,31 +330,66 @@ std::vector<PairState> BuildStates(
   return states;
 }
 
+// ---------------------------------------------------------------------------
+// Prepared lines.
+//
+// Q (the row ciphertext) is fixed across queries and P (the token) is shared
+// by every row of a table: the fixed-argument case of Costello and Stebila
+// (LATINCRYPT 2010). A prepared line is stored divided by its c0, as
+// (c1/c0, c2/c0), and the token point becomes u = xP/yP, v = 1/yP once per
+// loop; every evaluated line is then 1 + (c1 u) w + (c2 v) w^3, the
+// Jacobian line scaled by 1/(c0 yP), and two of them merge with three Fp2
+// products instead of six. A line with c0 = 0 cannot be divided; it is
+// stored as (0, 0), the line 1, which the final exponentiation cannot tell
+// from it (see above). Batched inversions keep the divisions cheap: one
+// Fp2 inversion per PrepareBatch call, one Fp inversion per prepared loop.
+// ---------------------------------------------------------------------------
+
+// Montgomery's trick: replaces every nonzero element of `xs` by its inverse
+// with one field inversion; zeros stay zero. Inverses are unique, so each
+// result equals x.Inverse() exactly.
+template <typename F>
+void BatchInvert(std::span<F> xs) {
+  std::vector<F> prefix(xs.size());  // product of the nonzero xs[0..i)
+  F acc = F::One();
+  for (size_t i = 0; i < xs.size(); ++i) {
+    prefix[i] = acc;
+    if (!xs[i].IsZero()) acc = acc * xs[i];
+  }
+  F inv = acc.Inverse();
+  for (size_t i = xs.size(); i-- > 0;) {
+    if (xs[i].IsZero()) continue;
+    const F x = xs[i];
+    xs[i] = inv * prefix[i];
+    inv = inv * x;
+  }
+}
+
 struct PreparedPairState {
-  Fp xp, yp;  // G1 point (affine)
+  Fp u, v;  // xP/yP and 1/yP of the G1 point
   const std::vector<LineCoeffs>* coeffs;
 };
 
 // Same schedule as MultiMillerLoopImpl, with every line read from the
 // prepared tables instead of derived: `idx` advances once per step, and all
-// tables hold their step-idx line at position idx because Prepare records
-// them in loop order.
+// tables hold their step-idx line at position idx because PrepareBatch
+// records them in loop order.
 Fp12 MultiMillerLoopPreparedImpl(const std::vector<PreparedPairState>& states) {
   const std::vector<int8_t>& naf = AteLoopNaf();
   Fp12 f = Fp12::One();
   size_t idx = 0;
-  std::vector<EvalLine> round;
+  std::vector<UnitLine> round;
   round.reserve(states.size() * 2);
   for (size_t i = 1; i < naf.size(); ++i) {
     f = f.Square();
     round.clear();
     for (const PreparedPairState& s : states) {
-      round.push_back(Evaluate((*s.coeffs)[idx], s.xp, s.yp));
+      round.push_back(Evaluate((*s.coeffs)[idx], s.u, s.v));
     }
     ++idx;
     if (naf[i] != 0) {
       for (const PreparedPairState& s : states) {
-        round.push_back(Evaluate((*s.coeffs)[idx], s.xp, s.yp));
+        round.push_back(Evaluate((*s.coeffs)[idx], s.u, s.v));
       }
       ++idx;
     }
@@ -310,8 +397,8 @@ Fp12 MultiMillerLoopPreparedImpl(const std::vector<PreparedPairState>& states) {
   }
   round.clear();
   for (const PreparedPairState& s : states) {
-    round.push_back(Evaluate((*s.coeffs)[idx], s.xp, s.yp));
-    round.push_back(Evaluate((*s.coeffs)[idx + 1], s.xp, s.yp));
+    round.push_back(Evaluate((*s.coeffs)[idx], s.u, s.v));
+    round.push_back(Evaluate((*s.coeffs)[idx + 1], s.u, s.v));
   }
   return FoldLines(f, round);
 }
@@ -373,29 +460,53 @@ size_t G2Prepared::ScheduleLength() {
 }
 
 G2Prepared G2Prepared::Prepare(const G2Affine& q) {
-  G2Prepared out;
-  if (q.infinity) return out;
-  out.infinity_ = false;
-  out.coeffs_.reserve(ScheduleLength());
+  return std::move(PrepareBatch(std::span<const G2Affine>(&q, 1)).front());
+}
 
+std::vector<G2Prepared> G2Prepared::PrepareBatch(
+    std::span<const G2Affine> qs) {
+  std::vector<G2Prepared> out(qs.size());
+  // Every line's c0, in table order across the batch.
+  std::vector<Fp2> c0s;
+  c0s.reserve(qs.size() * ScheduleLength());
   const std::vector<int8_t>& naf = AteLoopNaf();
-  G2Affine negq = q.Negate();
-  G2Jacobian t = {q.x, q.y, Fp2::One()};
-  LineCoeffs line;
-  for (size_t i = 1; i < naf.size(); ++i) {
-    DoublingStep(&t, &line);
-    out.coeffs_.push_back(line);
-    if (naf[i] != 0) {
-      AdditionStep(&t, naf[i] > 0 ? q : negq, &line);
-      out.coeffs_.push_back(line);
+  JacobianLine line;
+  for (size_t k = 0; k < qs.size(); ++k) {
+    const G2Affine& q = qs[k];
+    if (q.infinity) continue;
+    G2Prepared& prep = out[k];
+    prep.infinity_ = false;
+    prep.coeffs_.reserve(ScheduleLength());
+    auto record = [&] {
+      prep.coeffs_.push_back(LineCoeffs{line.c1, line.c2});
+      c0s.push_back(line.c0);
+    };
+    G2Affine negq = q.Negate();
+    G2Jacobian t = {q.x, q.y, Fp2::One()};
+    for (size_t i = 1; i < naf.size(); ++i) {
+      DoublingStep(&t, &line);
+      record();
+      if (naf[i] != 0) {
+        AdditionStep(&t, naf[i] > 0 ? q : negq, &line);
+        record();
+      }
+    }
+    auto [q1, q2_neg] = TailPoints(q);
+    AdditionStep(&t, q1, &line);
+    record();
+    AdditionStep(&t, q2_neg, &line);
+    record();
+    SJOIN_CHECK(prep.coeffs_.size() == ScheduleLength());
+  }
+  // A zero c0 keeps a zero "inverse", which stores the line as (0, 0).
+  BatchInvert<Fp2>(c0s);
+  size_t j = 0;
+  for (G2Prepared& prep : out) {
+    for (LineCoeffs& l : prep.coeffs_) {
+      const Fp2& inv = c0s[j++];
+      l = LineCoeffs{l.c1 * inv, l.c2 * inv};
     }
   }
-  auto [q1, q2_neg] = TailPoints(q);
-  AdditionStep(&t, q1, &line);
-  out.coeffs_.push_back(line);
-  AdditionStep(&t, q2_neg, &line);
-  out.coeffs_.push_back(line);
-  SJOIN_CHECK(out.coeffs_.size() == ScheduleLength());
   return out;
 }
 
@@ -418,15 +529,25 @@ Fp12 MillerLoopPrepared(const G1Affine& p, const G2Prepared& q) {
 Fp12 MultiMillerLoopPrepared(
     std::span<const std::pair<G1Affine, const G2Prepared*>> pairs) {
   std::vector<PreparedPairState> states;
+  std::vector<Fp> inv_y;
   states.reserve(pairs.size());
+  inv_y.reserve(pairs.size());
   for (const auto& [p, q] : pairs) {
     SJOIN_CHECK(q != nullptr);
     if (p.infinity || q->infinity()) continue;  // contributes factor 1
     // A non-identity table must match this loop's schedule exactly.
     SJOIN_CHECK(q->coeffs().size() == G2Prepared::ScheduleLength());
-    states.push_back(PreparedPairState{p.x, p.y, &q->coeffs()});
+    states.push_back(PreparedPairState{p.x, Fp(), &q->coeffs()});
+    inv_y.push_back(p.y);
   }
   if (states.empty()) return Fp12::One();
+  // No point of G1 has y = 0 (E(Fp) has odd prime order); an off-curve
+  // input with y = 0 keeps u = v = 0, and its lines evaluate to 1.
+  BatchInvert<Fp>(inv_y);
+  for (size_t k = 0; k < states.size(); ++k) {
+    states[k].v = inv_y[k];
+    states[k].u = states[k].u * inv_y[k];
+  }
   return MultiMillerLoopPreparedImpl(states);
 }
 
@@ -474,28 +595,13 @@ Fp12 FinalExponentiation(const Fp12& f) {
 }
 
 std::vector<Fp12> FinalExponentiationBatch(std::span<const Fp12> fs) {
-  std::vector<Fp12> out(fs.size());
-  // Montgomery-trick batch inversion of the nonzero inputs: one Fp12
-  // inversion total. Inverses are unique, so each recovered inverse is the
-  // exact element f.Inverse() computes and the per-row path stays
-  // byte-identical.
-  std::vector<size_t> live;
-  std::vector<Fp12> prefix;  // prefix[k] = product of the first k live inputs
-  live.reserve(fs.size());
-  prefix.reserve(fs.size());
-  Fp12 acc = Fp12::One();
+  // One Fp12 inversion for the batch; each recovered inverse is the exact
+  // element f.Inverse() computes, so the per-row path stays byte-identical.
+  std::vector<Fp12> out(fs.begin(), fs.end());
+  BatchInvert<Fp12>(out);
   for (size_t i = 0; i < fs.size(); ++i) {
-    if (fs[i].IsZero()) continue;  // degenerate rows pass through as zero
-    live.push_back(i);
-    prefix.push_back(acc);
-    acc = acc * fs[i];
-  }
-  Fp12 inv_acc = acc.Inverse();
-  for (size_t k = live.size(); k-- > 0;) {
-    size_t i = live[k];
-    Fp12 finv = inv_acc * prefix[k];
-    inv_acc = inv_acc * fs[i];
-    out[i] = FinalExpHard(FinalExpEasy(fs[i], finv));
+    // Degenerate (zero) rows pass through as zero.
+    if (!fs[i].IsZero()) out[i] = FinalExpHard(FinalExpEasy(fs[i], out[i]));
   }
   return out;
 }

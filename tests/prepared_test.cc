@@ -1,5 +1,6 @@
 // Prepared-ciphertext pipeline: G2Prepared line tables must make the
-// Miller loop, the IPE decrypt, and SJ.Dec bit-identical to their
+// Miller loop (after the final exponentiation, which removes the line
+// normalization), the IPE decrypt, and SJ.Dec bit-identical to their
 // unprepared counterparts, the server's prepared-row cache must honor
 // its byte budget with LRU eviction, and the cache-aware kernel every
 // decrypt path fans out through must match per-row SJ.Dec at every width.
@@ -55,7 +56,9 @@ TEST(G2PreparedTest, MillerLoopPreparedMatchesUnprepared) {
     G1Affine p = G1Generator().ScalarMul(rng.NextFr()).ToAffine();
     G2Affine q = G2Generator().ScalarMul(rng.NextFr()).ToAffine();
     G2Prepared prep = G2Prepared::Prepare(q);
-    EXPECT_EQ(MillerLoopPrepared(p, prep), MillerLoop(p, q)) << "trial " << i;
+    EXPECT_EQ(FinalExponentiation(MillerLoopPrepared(p, prep)),
+              FinalExponentiation(MillerLoop(p, q)))
+        << "trial " << i;
   }
 }
 
@@ -79,7 +82,8 @@ TEST(G2PreparedTest, MultiMillerLoopPreparedMatchesUnprepared) {
   for (int i = 0; i < 5; ++i) {
     prepared_pairs.emplace_back(pairs[i].first, &prepared[i]);
   }
-  EXPECT_EQ(MultiMillerLoopPrepared(prepared_pairs), MultiMillerLoop(pairs));
+  EXPECT_EQ(FinalExponentiation(MultiMillerLoopPrepared(prepared_pairs)),
+            FinalExponentiation(MultiMillerLoop(pairs)));
   EXPECT_EQ(MultiPairPrepared(prepared_pairs), MultiPair(pairs));
 }
 
@@ -143,6 +147,49 @@ TEST(SjPreparedTest, DecryptRowsPreparedMatchesDecryptRows) {
     EXPECT_EQ(SecureJoin::DecryptPrepared(tb, prepared[0]),
               SecureJoin::Decrypt(tb, rows[0]));
   }
+}
+
+/// The paper's dimension (m = 9, t = 1: 21 slots): a row prepared once
+/// serves every token, and rows with identity slots -- a ciphertext slot
+/// at infinity prepares to the empty table -- still match the cold path.
+TEST(SjPreparedTest, DimensionTwentyOneSweepMatchesDecryptToDigest) {
+  Rng rng(6250);
+  auto msk = SecureJoin::Setup({.num_attrs = 9, .max_in_clause = 1}, &rng);
+  ASSERT_EQ(msk.params.Dimension(), 21u);
+  std::vector<Fr> join_hashes = {rng.NextFr(), rng.NextFr(), rng.NextFr()};
+  std::vector<SjRowCiphertext> rows;
+  for (int r = 0; r < 16; ++r) {
+    std::vector<Fr> attrs(9);
+    for (Fr& a : attrs) a = rng.NextFr();
+    rows.push_back(
+        SecureJoin::EncryptRow(msk, join_hashes[r % 3], attrs, &rng));
+    // Every third row gets identity slots: one, then two, then three.
+    for (int k = 0; k < 3 && r % 3 == 0 && k <= r / 6; ++k) {
+      rows.back().c[(r + 7 * k) % 21] = G2Affine::Infinity();
+    }
+  }
+  std::vector<SjPreparedRow> prepared;
+  for (const SjRowCiphertext& ct : rows) {
+    prepared.push_back(SecureJoin::PrepareRow(ct));
+  }
+  for (uint64_t seed : {1u, 2u}) {
+    Rng qrng(6260 + seed);
+    SjPredicates preds(9);
+    preds[seed].push_back(qrng.NextFr());
+    SjToken token = SecureJoin::GenToken(msk, preds, qrng.NextFrNonZero(),
+                                         &qrng);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(SecureJoin::DecryptToDigestPrepared(token, prepared[r]),
+                SecureJoin::DecryptToDigest(token, rows[r]))
+          << "token " << seed << ", row " << r;
+    }
+  }
+}
+
+TEST(SjPreparedTest, PreparedRowLayoutAtPaperDimension) {
+  // Two Fp2 per line (c1/c0, c2/c0), 88 lines per slot, 21 slots.
+  EXPECT_EQ(sizeof(LineCoeffs), 2 * sizeof(Fp2));
+  EXPECT_LE(SjPreparedRow::BytesForDim(21), 235u * 1024);
 }
 
 TEST(SjPreparedTest, MemoryAccountingMatchesEstimate) {
