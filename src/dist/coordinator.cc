@@ -681,9 +681,12 @@ Result<EncryptedSeriesResult> Coordinator::ExecuteSeries(
               if (i > 0) ++stats_.failover_decrypts;
               return decoded;
             }
-            MarkUnhealthy(w);  // undecodable answer: as diverged as dead
             resp = decoded.status();
           }
+          // A refused (kError) or undecodable answer leaves the worker as
+          // diverged as a dead one: out of rotation until the heal
+          // re-syncs it, so later units stop sending it doomed RPCs.
+          MarkUnhealthy(w);
           {
             std::lock_guard<std::mutex> lock(mu_);
             ++stats_.decrypt_rpc_failures;

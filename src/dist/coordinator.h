@@ -210,9 +210,9 @@ class Coordinator {
   ///
   /// Health lifecycle: `healthy` flips false on the first failed RPC
   /// of the data plane -- a transport failure, or a worker that refuses
-  /// an assignment or a mutation slice (MarkUnhealthy); while false,
-  /// decrypts, mutation slices and assignments skip the worker (counted,
-  /// never remembered), and the reconnect loop re-dials at
+  /// an assignment, a mutation slice or a decrypt (MarkUnhealthy); while
+  /// false, decrypts, mutation slices and assignments skip the worker
+  /// (counted, never remembered), and the reconnect loop re-dials at
   /// `next_attempt`. A successful re-dial re-syncs every shard of every
   /// stored table before flipping `healthy` back.
   struct Worker {
@@ -242,8 +242,9 @@ class Coordinator {
   /// One framed request/response exchange on `w`, serialized by w->mu.
   /// Transport failures close the connection, mark the worker unhealthy,
   /// and map to Unavailable (DeadlineExceeded passes through); a kError
-  /// response decodes to the worker-reported status (worker stays
-  /// healthy -- it answered).
+  /// response decodes to the worker-reported status, and the caller
+  /// decides whether the refusal takes the worker out of rotation (every
+  /// data-plane caller does).
   Result<Bytes> WorkerRpc(Worker& w, FrameType request, const Bytes& payload,
                           FrameType expected);
 

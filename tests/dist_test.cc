@@ -581,6 +581,7 @@ class FakeWorker {
     kStallOnDecrypt,    // never answer
     kDieOnAssign,       // close on the first shard upload (AddWorker races)
     kRefuseMutation,    // answer every mutation slice with a kError frame
+    kRefuseDecrypt,     // answer every decrypt request with a kError frame
   };
 
   explicit FakeWorker(Mode mode) : mode_(mode) {
@@ -670,6 +671,10 @@ class FakeWorker {
           }
           case Mode::kStallOnDecrypt:
             return true;  // keep the connection open, answer nothing
+          case Mode::kRefuseDecrypt:
+            return Send(fd, EncodeFrame(FrameType::kError,
+                                        EncodeErrorPayload(Status::Internal(
+                                            "decrypt refused"))));
         }
         return false;
       }
@@ -1019,6 +1024,33 @@ TEST(DistRecovery, RefusedMutationSliceTakesWorkerOutOfRotation) {
 
   ExpectMatchesSingleNode(env, env.Series({KeySpec("X", "X")}, {x}));
   EXPECT_EQ(fake.decrypt_requests(), 0);
+}
+
+TEST(DistRecovery, RefusedDecryptTakesWorkerOutOfRotation) {
+  // A worker that answers a decrypt with an error is alive but diverged,
+  // like one that refuses a slice: it must leave the rotation at the
+  // first refusal, not receive one doomed RPC per unit of every series.
+  DistEnv env(/*num_shards=*/4);
+  FakeWorker fake(FakeWorker::Mode::kRefuseDecrypt);
+  ASSERT_TRUE(env.coord->AddWorker("wd", "127.0.0.1", fake.port()).ok());
+  const EncryptedTable* x = env.Upload("X", 6, 2);
+  QuerySeriesTokens series = env.Series({KeySpec("X", "X")}, {x});
+
+  // Series 0 meets the refusal; its units decrypt locally.
+  ExpectMatchesSingleNode(env, series);
+  const int refused = fake.decrypt_requests();
+  EXPECT_GE(refused, 1);
+  EXPECT_EQ(*env.coord->WorkerIsHealthy("wd"), false);
+  Coordinator::Stats mid = env.coord->stats();
+  EXPECT_EQ(mid.decrypt_rpc_failures, mid.decrypt_rpcs);
+  EXPECT_GE(mid.local_fallback_units, 1u);
+
+  // Series 1 sends the worker no decrypt RPC at all.
+  ExpectMatchesSingleNode(env, series);
+  EXPECT_EQ(fake.decrypt_requests(), refused);
+  Coordinator::Stats after = env.coord->stats();
+  EXPECT_EQ(after.decrypt_rpcs, mid.decrypt_rpcs);
+  EXPECT_EQ(after.decrypt_rpc_failures, mid.decrypt_rpc_failures);
 }
 
 TEST(DistRecovery, ReconnectHealsMissedWritesAndKeepsCachesWarm) {
