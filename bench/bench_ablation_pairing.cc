@@ -9,6 +9,7 @@
 //   GLV two-dimensional         vs. generic width-4 wNAF (ScalarMulWnaf)
 //   batched final exponentiation vs. per-element FinalExponentiation
 //   batched SJ.Dec kernel       vs. per-row DecryptToDigest
+//   prepared SJ.Dec (normalized lines) vs. cold SJ.Dec, both batched
 //
 // Self-contained (no Google Benchmark). `--json` emits one machine-readable
 // object and enforces conservative speedup floors on the ratios above,
@@ -84,11 +85,14 @@ struct Timings {
   // SJ.Dec (ms per row), m = 9 attrs, t = 1.
   double dec_cold_per_row = kUnmeasured, dec_cold_batch = kUnmeasured;
   double dec_prep_per_row = kUnmeasured, dec_prep_batch = kUnmeasured;
+  // Cold / prepared batched SJ.Dec: median over rounds of the ratio of two
+  // back-to-back measurements, so host drift between rounds cancels.
+  double prepared_vs_cold = 0;
 };
 
 constexpr size_t kFeBatch = 32;
 constexpr size_t kDecRows = 16;
-constexpr int kRounds = 3;
+constexpr int kRounds = 5;
 
 // Every quantity is the MINIMUM over kRounds interleaved measurement rounds.
 // Sequential A-then-B timing on a busy 1-vCPU host mistakes frequency drift
@@ -133,6 +137,7 @@ Timings Measure() {
   const double rows = static_cast<double>(kDecRows);
 
   auto mn = [](double* slot, double v) { *slot = std::min(*slot, v); };
+  std::vector<double> dec_ratios;
   for (int round = 0; round < kRounds; ++round) {
     mn(&t.fp_mul, NanosPerOp(x2.a(), [&](const Fp& a) { return a * y2.a(); }));
     mn(&t.fp2_mul, NanosPerOp(x2, [&](const Fp2& a) { return a * y2; }));
@@ -184,12 +189,6 @@ Timings Measure() {
                                     },
                                     1, 0.0) /
                                 rows);
-    mn(&t.dec_cold_batch,
-       1e3 *
-           benchutil::TimePerCall(
-               [&] { Sink(SecureJoin::DecryptRows(token, cts, 1)); }, 1,
-               0.0) /
-           rows);
     mn(&t.dec_prep_per_row,
        1e3 *
            benchutil::TimePerCall(
@@ -199,15 +198,23 @@ Timings Measure() {
                },
                1, 0.0) /
            rows);
-    mn(&t.dec_prep_batch,
-       1e3 *
-           benchutil::TimePerCall(
-               [&] {
-                 Sink(SecureJoin::DecryptRowsPrepared(token, prepared, 1));
-               },
-               1, 0.0) /
-           rows);
+    const double cold_batch =
+        1e3 *
+        benchutil::TimePerCall(
+            [&] { Sink(SecureJoin::DecryptRows(token, cts, 1)); }, 1, 0.0) /
+        rows;
+    const double prep_batch =
+        1e3 *
+        benchutil::TimePerCall(
+            [&] { Sink(SecureJoin::DecryptRowsPrepared(token, prepared, 1)); },
+            1, 0.0) /
+        rows;
+    mn(&t.dec_cold_batch, cold_batch);
+    mn(&t.dec_prep_batch, prep_batch);
+    dec_ratios.push_back(cold_batch / prep_batch);
   }
+  std::sort(dec_ratios.begin(), dec_ratios.end());
+  t.prepared_vs_cold = dec_ratios[dec_ratios.size() / 2];
   return t;
 }
 
@@ -221,12 +228,13 @@ struct Check {
 
 /// Conservative floors: each optimized path vs. its reference, measured
 /// interleaved in one process. Set well below typical measurements
-/// (lazy Fp12 ~1.2x, xi-multiply ~2x, cyclotomic ~1.5x, GLV ~1.3x) so
-/// only a real regression -- not scheduler noise -- trips them. The batch floors are
-/// no-regression guards, not speedup claims: the shared easy-part
-/// inversion is a few percent of a row (its value is bounded working
-/// sets + chunk parallelism at identical bytes), and this host's
-/// measurement noise exceeds that margin.
+/// (lazy Fp12 ~1.2x, xi-multiply ~3x, cyclotomic ~1.5x, GLV ~1.3x,
+/// prepared vs cold SJ.Dec ~1.8x) so only a real regression -- not
+/// scheduler noise -- trips them. The batch floors are no-regression
+/// guards, not speedup claims: the shared easy-part inversion is a few
+/// percent of a row (its value is bounded working sets + chunk
+/// parallelism at identical bytes), and this host's measurement noise
+/// exceeds that margin.
 std::vector<Check> Checks(const Timings& t) {
   return {
       {"fp12_lazy_mul", t.fp12_mul_ref / t.fp12_mul, 1.02},
@@ -236,6 +244,7 @@ std::vector<Check> Checks(const Timings& t) {
       {"batch_final_exp", t.final_exp / t.final_exp_batch, 0.85},
       {"batch_dec_cold", t.dec_cold_per_row / t.dec_cold_batch, 0.85},
       {"batch_dec_prepared", t.dec_prep_per_row / t.dec_prep_batch, 0.85},
+      {"prepared_vs_cold", t.prepared_vs_cold, 1.3},
   };
 }
 

@@ -43,10 +43,10 @@ namespace sjoin {
 /// from a tag comparison (see docs/TUNING.md, "Cost model calibration").
 struct BackendCostModel {
   /// SJ.Dec through a warm prepared row (line evaluation only) at the
-  /// paper's dimension (m = 9, t = 1; measured ~9.3 ms, median of nine
+  /// paper's dimension (m = 9, t = 1; measured ~6.9 ms, median of nine
   /// runs). The sjoin estimate uses this optimistic bound, biasing
   /// dispatch toward sjoin.
-  static constexpr double kPairingPreparedMsPerRow = 9.5;
+  static constexpr double kPairingPreparedMsPerRow = 7.0;
   /// DET tag hash-join work per selected row (measured ~0.0002 ms; the
   /// constant keeps a 5x safety margin).
   static constexpr double kTagJoinMsPerRow = 0.001;

@@ -17,7 +17,6 @@
 #ifndef SJOIN_FIELD_FP2_H_
 #define SJOIN_FIELD_FP2_H_
 
-#include <algorithm>
 #include <array>
 
 #include "field/bn254.h"
