@@ -67,8 +67,9 @@ constexpr std::array<uint64_t, 5> ShiftedP(int k) {
   }
   return r;
 }
-inline constexpr std::array<uint64_t, 5> kP5[4] = {ShiftedP(3), ShiftedP(2),
-                                                    ShiftedP(1), ShiftedP(0)};
+/// 8p, 4p, 2p and p, in the order NineXPlusY subtracts them.
+inline constexpr std::array<uint64_t, 5> kPMultiples[4] = {
+    ShiftedP(3), ShiftedP(2), ShiftedP(1), ShiftedP(0)};
 
 /// Canonical residue of 9x + y for x < p, y <= p. The five-limb sum is
 /// below 10p; conditional subtractions of 8p, 4p, 2p and p leave it below
@@ -83,7 +84,7 @@ inline U256 NineXPlusY(const U256& x, const U256& y) {
     acc >>= 64;
   }
   v[4] = static_cast<uint64_t>(acc);
-  for (const std::array<uint64_t, 5>& kp : kP5) {
+  for (const std::array<uint64_t, 5>& kp : kPMultiples) {
     uint64_t t[5];
     uint64_t borrow = 0;
     for (int i = 0; i < 5; ++i) {

@@ -537,6 +537,7 @@ Fp12 MultiMillerLoopPrepared(
     if (p.infinity || q->infinity()) continue;  // contributes factor 1
     // A non-identity table must match this loop's schedule exactly.
     SJOIN_CHECK(q->coeffs().size() == G2Prepared::ScheduleLength());
+    // u holds xP until the batched inversion below turns it into xP/yP.
     states.push_back(PreparedPairState{p.x, Fp(), &q->coeffs()});
     inv_y.push_back(p.y);
   }
